@@ -41,11 +41,12 @@ struct RushConfig {
   /// Warm-starts each onion-peeling layer from the previous pass's peel
   /// level (DESIGN.md §5d).  Consecutive replans differ by one observation,
   /// so the previous level brackets the new one within ~tolerance; each
-  /// layer validates its hint with two probes and falls back to the cold
-  /// bracket when the hint is stale, cutting the k-section from
-  /// ~log(cap/tol) rounds to ~1-2 probes in steady state.  Off by default:
-  /// the cold path is the bit-exact reference; warm plans agree with it
-  /// within the peel tolerance, not to the last bit.
+  /// layer root-finds from its hint with slack-valued probes and then
+  /// replays the cold k-section grid exactly, answering most grid levels by
+  /// monotonicity — so warm plans are bit-identical to cold plans (levels,
+  /// deadlines, bottlenecks) at several times fewer probes.  Only the probe
+  /// counters (Plan::peel_probes, PlanStats) differ.  Off by default, which
+  /// keeps the cold probe schedule those counters are pinned to.
   bool warm_start_peeling = false;
 
   /// Shrink deadlines by R_i so the Theorem 3 stretch stays within target.
@@ -99,7 +100,9 @@ struct RushConfig {
   /// whose demand did not change between consecutive passes — the common
   /// case, since a container event touches one job — skip the bisection
   /// entirely.  Hits are verified bit-exact before being trusted, so the
-  /// plan is identical with the cache on or off.
+  /// plan is identical with the cache on or off.  Also gates the planner's
+  /// identity memo in front of the cache, which reuses a job's result while
+  /// its demand snapshot object and KL radius are unchanged.
   bool wcde_cache = true;
 
   /// Cache entries kept before least-recently-used eviction.

@@ -53,6 +53,12 @@ WcdeCache::Fingerprint WcdeCache::fingerprint(const QuantizedPmf& phi, Probabili
   return avalanche(hash);
 }
 
+void WcdeCache::record_memo_hits(std::uint64_t n) {
+  Shard& shard = shards_[0];
+  MutexLock lock(shard.mutex);
+  shard.stats.hits += n;
+}
+
 void WcdeCache::set_fingerprint_fn_for_test(FingerprintFn fn) {
   require(fn != nullptr, "WcdeCache: fingerprint function must not be null");
   fingerprint_fn_ = fn;

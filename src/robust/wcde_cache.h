@@ -83,6 +83,12 @@ class WcdeCache {
   /// this replaces was the hot loop of every cache probe).
   static Fingerprint fingerprint(const QuantizedPmf& phi, Probability theta, KlRadius delta);
 
+  /// Counts `n` lookups answered by an identity memo in front of the cache
+  /// (RushPlanner reuses a job's result while its demand snapshot object
+  /// and KL radius are unchanged, without fingerprinting the PMF), so
+  /// stats().hits counts every solve the memoization layers avoided.
+  void record_memo_hits(std::uint64_t n);
+
   void clear();
   std::size_t size() const;
   WcdeCacheStats stats() const;

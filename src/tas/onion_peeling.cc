@@ -53,8 +53,16 @@ class PeeledSet {
   std::vector<Item> items_;
 };
 
-/// (deadline, demand) pairs of the active jobs at some probed level.
+/// (deadline, demand) pairs of the active jobs at some probed level.  The
+/// pair's lexicographic operator< is the EDF sort key.
 using DeadlineDemand = std::vector<std::pair<Seconds, ContainerSeconds>>;
+
+/// An entry the deadline-order repair pulled out of its run: its key and
+/// its active index.
+struct PulledEntry {
+  std::pair<Seconds, ContainerSeconds> key;
+  std::uint32_t index;
+};
 
 /// Caller-owned state of one probe lane.  Owned by exactly one concurrent
 /// probe at a time, and its previous contents are reused two ways: the
@@ -66,8 +74,17 @@ using DeadlineDemand = std::vector<std::pair<Seconds, ContainerSeconds>>;
 struct ProbeScratch {
   /// (deadline, eta) of the active jobs, sorted — what the EDF walk reads.
   DeadlineDemand pairs;
-  /// Active-job indices in the order `pairs` was last built.
+  /// Active-job indices in the order `pairs` was last built: always a
+  /// permutation of [0, order.size()).  It survives across layers —
+  /// erase_from_order() remaps it when a job is peeled — so a new layer's
+  /// first probe repairs the previous layer's order instead of sorting
+  /// from scratch.
   std::vector<std::uint32_t> order;
+  /// Merge-repair buffers: the entries pulled out of order, and the merge
+  /// targets swapped into `pairs` and `order`.
+  std::vector<PulledEntry> pulled;
+  DeadlineDemand merged_pairs;
+  std::vector<std::uint32_t> merged_order;
   /// Deadline per active index at `level` (kUnreachable allowed).
   std::vector<Seconds> deadlines;
   /// Level this lane last probed, and the layer it was probed in.
@@ -78,6 +95,25 @@ struct ProbeScratch {
   std::size_t first_unreachable = kNoIndex;
   bool complete = false;
 };
+
+/// Keeps a lane's deadline order valid when active index `erased` leaves an
+/// active set of `n` jobs: drops the index and shifts the later ones down,
+/// preserving the relative order of the rest in one O(n) pass.  An order
+/// built over a different set (an unused lane, or the replay certificate's
+/// reduced set) is cleared instead; the next probe rebuilds it.
+void erase_from_order(std::vector<std::uint32_t>& order, std::size_t n,
+                      std::size_t erased) {
+  if (order.size() != n) {
+    order.clear();
+    return;
+  }
+  std::size_t w = 0;
+  for (const std::uint32_t i : order) {
+    if (i == erased) continue;
+    order[w++] = i > erased ? i - 1 : i;
+  }
+  order.resize(w);
+}
 
 /// Deadline of job `j` for utility level L, compensated by R_i when asked.
 /// Returns kUnreachable when L cannot be achieved at any time >= now.
@@ -122,38 +158,66 @@ Seconds first_edf_violation(const DeadlineDemand& active, const PeeledSet& peele
   return kNoViolation;
 }
 
-/// Rebuilds scratch.pairs sorted by (deadline, eta) — the exact key the
-/// previous std::sort-on-pairs used, so elements comparing equal carry
-/// identical values and any order among them yields bit-identical EDF load
-/// sums.  The previous probe's order is validated in O(n) first; only an
-/// actual inversion pays the stable sort.
+/// Rebuilds scratch.pairs sorted by (deadline, eta).  Elements comparing
+/// equal under that key carry identical values, so every correct sort of it
+/// yields bit-identical pairs and EDF load sums — the order among ties is
+/// unobservable.  The previous probe's order is repaired, not re-sorted:
+/// one walk keeps the entries that extend a non-decreasing run and pulls
+/// the ones that break it (at an inversion both the run's tail and the
+/// newcomer are pulled, so one displaced job costs two pulls whichever way
+/// it moved), then only the m pulled entries are sorted and merged back —
+/// O(n + m log m), and an already-sorted order is a single O(n) walk.
+/// Deadline order changes between probes only where two inverse-utility
+/// curves cross, so m stays small.
 void sort_deadlines(const std::vector<const TasJob*>& active, ProbeScratch& scratch) {
   const std::size_t n = active.size();
-  if (scratch.order.size() != n) {
-    scratch.order.resize(n);
-    for (std::size_t i = 0; i < n; ++i) scratch.order[i] = static_cast<std::uint32_t>(i);
+  std::vector<std::uint32_t>& order = scratch.order;
+  if (order.size() != n) {
+    order.resize(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
   }
-  const auto key_less = [&](std::uint32_t x, std::uint32_t y) {
-    const Seconds dx = scratch.deadlines[x];
-    const Seconds dy = scratch.deadlines[y];
-    if (dx != dy) return dx < dy;
-    return active[x]->eta < active[y]->eta;
-  };
-  bool in_order = true;
-  for (std::size_t j = 1; j < n; ++j) {
-    if (key_less(scratch.order[j], scratch.order[j - 1])) {
-      in_order = false;
-      break;
+  // Gather the keys in the previous order; the repair then compares
+  // contiguous pairs instead of chasing indices.
+  DeadlineDemand& pairs = scratch.pairs;
+  pairs.resize(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint32_t i = order[j];
+    pairs[j] = {scratch.deadlines[i], active[i]->eta};
+  }
+  std::vector<PulledEntry>& pulled = scratch.pulled;
+  pulled.clear();
+  std::size_t kept = 0;  // [0, kept) of pairs/order is the non-decreasing run
+  for (std::size_t j = 0; j < n; ++j) {
+    if (kept > 0 && pairs[j] < pairs[kept - 1]) {
+      --kept;
+      pulled.push_back({pairs[kept], order[kept]});
+      pulled.push_back({pairs[j], order[j]});
+    } else {
+      pairs[kept] = pairs[j];
+      order[kept] = order[j];
+      ++kept;
     }
   }
-  if (!in_order) {
-    std::stable_sort(scratch.order.begin(), scratch.order.end(), key_less);
+  if (pulled.empty()) return;
+  std::sort(pulled.begin(), pulled.end(),
+            [](const PulledEntry& a, const PulledEntry& b) { return a.key < b.key; });
+  DeadlineDemand& merged_pairs = scratch.merged_pairs;
+  std::vector<std::uint32_t>& merged_order = scratch.merged_order;
+  merged_pairs.resize(n);
+  merged_order.resize(n);
+  std::size_t a = 0;
+  std::size_t b = 0;
+  for (std::size_t w = 0; w < n; ++w) {
+    if (b < pulled.size() && (a == kept || pulled[b].key < pairs[a])) {
+      merged_pairs[w] = pulled[b].key;
+      merged_order[w] = pulled[b++].index;
+    } else {
+      merged_pairs[w] = pairs[a];
+      merged_order[w] = order[a++];
+    }
   }
-  scratch.pairs.clear();
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint32_t i = scratch.order[j];
-    scratch.pairs.emplace_back(scratch.deadlines[i], active[i]->eta);
-  }
+  pairs.swap(merged_pairs);
+  order.swap(merged_order);
 }
 
 /// Minimum EDF slack over every constraint: min over deadlines d of
@@ -260,6 +324,10 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
 
   TasResult result;
   std::vector<const TasJob*> active;
+  // Level cap of each active job — the utility of completing immediately —
+  // kept parallel to `active`.  `now` is fixed for the call, so each curve
+  // is evaluated once here instead of once per layer.
+  std::vector<Utility> cap_of;
   units::ContainerSeconds total_eta(0.0);
   Seconds max_runtime = 0.0;
   int layer = 0;
@@ -280,6 +348,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
       continue;
     }
     active.push_back(&j);
+    cap_of.push_back(j.utility->value(now));
     total_eta += units::ContainerSeconds(j.eta);
     max_runtime = std::max(max_runtime, j.avg_task_runtime);
   }
@@ -306,6 +375,14 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
   // bottleneck step never trusts a leftover from an earlier (larger)
   // active set.
   std::uint64_t layer_epoch = 0;
+
+  // Removes active index `index`, keeping cap_of and every lane's deadline
+  // order aligned with the shrunken set.
+  const auto erase_active = [&](std::size_t index) {
+    for (ProbeScratch& lane : scratch) erase_from_order(lane.order, active.size(), index);
+    active.erase(active.begin() + static_cast<std::ptrdiff_t>(index));
+    cap_of.erase(cap_of.begin() + static_cast<std::ptrdiff_t>(index));
+  };
 
   const auto feasible = [&](Utility level) {
     ++result.probes;
@@ -334,7 +411,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
     result.targets.push_back(t);
     result.hint.push_back({job.id, level, t.target_completion});
     peeled.insert(d, job.eta);
-    active.erase(active.begin() + static_cast<std::ptrdiff_t>(index));
+    erase_active(index);
   };
 
   const PeelHint* warm = config.warm_hint;
@@ -454,8 +531,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
           for (const Tentative& p : prefix) erase_order.push_back(p.index);
           std::sort(erase_order.begin(), erase_order.end());
           for (std::size_t i = erase_order.size(); i > 0; --i) {
-            active.erase(active.begin() +
-                         static_cast<std::ptrdiff_t>(erase_order[i - 1]));
+            erase_active(erase_order[i - 1]);
           }
         }
       }
@@ -470,9 +546,8 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
     Utility level_cap = std::numeric_limits<Utility>::infinity();
     std::size_t cap_index = 0;
     for (std::size_t i = 0; i < active.size(); ++i) {
-      const Utility u_max = active[i]->utility->value(now);
-      if (u_max < level_cap) {
-        level_cap = u_max;
+      if (cap_of[i] < level_cap) {
+        level_cap = cap_of[i];
         cap_index = i;
       }
     }
