@@ -13,6 +13,7 @@
 #include "src/baselines/edf_scheduler.h"
 #include "src/baselines/fair_scheduler.h"
 #include "src/baselines/fifo_scheduler.h"
+#include "src/engine/simulation.h"
 #include "src/experiments/experiment.h"
 #include "src/metrics/report.h"
 #include "src/metrics/text_table.h"
@@ -33,20 +34,20 @@ RunResult run_with(Scheduler& scheduler, double ratio, std::uint64_t seed) {
   workload.benchmark_speed = budget_calibration(nodes, defaults.noise_sigma);
   workload.seed = seed;
 
-  ClusterConfig cluster_config;
-  cluster_config.nodes = nodes;
-  cluster_config.runtime_noise_sigma = defaults.noise_sigma;
-  cluster_config.seed = seed + 1;
+  EngineSimulationConfig sim_config;
+  sim_config.nodes = nodes;
+  sim_config.runtime_noise_sigma = defaults.noise_sigma;
+  sim_config.seed = seed + 1;
 
-  Cluster cluster(cluster_config, scheduler);
+  EngineSimulation simulation(sim_config, scheduler);
   std::uint64_t bench_seed = seed + 1000003;
   for (JobSpec& spec : generate_workload(workload)) {
     const Seconds bench =
         measure_benchmark(spec, nodes, defaults.noise_sigma, bench_seed++);
     apply_sensitivity(spec, spec.sensitivity, ratio * bench, spec.priority);
-    cluster.submit(std::move(spec));
+    simulation.submit(std::move(spec));
   }
-  return cluster.run();
+  return simulation.run();
 }
 
 void run_ablation() {

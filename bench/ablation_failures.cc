@@ -8,6 +8,7 @@
 
 #include <iostream>
 
+#include "src/engine/simulation.h"
 #include "src/experiments/experiment.h"
 #include "src/metrics/report.h"
 #include "src/metrics/text_table.h"
@@ -29,14 +30,14 @@ RunResult run_with_failures(const std::string& scheduler_name, double failure_p,
   workload.benchmark_speed = budget_calibration(nodes, defaults.noise_sigma);
   workload.seed = seed;
 
-  ClusterConfig cluster_config;
-  cluster_config.nodes = nodes;
-  cluster_config.runtime_noise_sigma = defaults.noise_sigma;
-  cluster_config.task_failure_probability = failure_p;
-  cluster_config.seed = seed + 1;
+  EngineSimulationConfig sim_config;
+  sim_config.nodes = nodes;
+  sim_config.runtime_noise_sigma = defaults.noise_sigma;
+  sim_config.task_failure_probability = failure_p;
+  sim_config.seed = seed + 1;
 
   const auto scheduler = make_named_scheduler(scheduler_name);
-  Cluster cluster(cluster_config, *scheduler);
+  EngineSimulation simulation(sim_config, *scheduler);
   std::uint64_t bench_seed = seed + 1000003;
   for (JobSpec& spec : generate_workload(workload)) {
     // Budgets measured on a failure-free cluster: failures are the
@@ -44,9 +45,9 @@ RunResult run_with_failures(const std::string& scheduler_name, double failure_p,
     const Seconds bench =
         measure_benchmark(spec, nodes, defaults.noise_sigma, bench_seed++);
     apply_sensitivity(spec, spec.sensitivity, 1.5 * bench, spec.priority);
-    cluster.submit(std::move(spec));
+    simulation.submit(std::move(spec));
   }
-  return cluster.run();
+  return simulation.run();
 }
 
 void run_ablation() {

@@ -10,6 +10,7 @@
 
 #include <iostream>
 
+#include "src/engine/simulation.h"
 #include "src/experiments/experiment.h"
 #include "src/metrics/report.h"
 #include "src/metrics/text_table.h"
@@ -33,23 +34,23 @@ RunResult run_one(const std::string& scheduler_name, bool speculation,
   workload.benchmark_speed = budget_calibration(nodes, defaults.noise_sigma);
   workload.seed = seed;
 
-  ClusterConfig cluster_config;
-  cluster_config.nodes = nodes;
-  cluster_config.runtime_noise_sigma = defaults.noise_sigma;
-  cluster_config.enable_speculation = speculation;
-  cluster_config.speculation_threshold = 1.5;
-  cluster_config.seed = seed + 1;
+  EngineSimulationConfig sim_config;
+  sim_config.nodes = nodes;
+  sim_config.runtime_noise_sigma = defaults.noise_sigma;
+  sim_config.speculation.enabled = speculation;
+  sim_config.speculation.threshold = 1.5;
+  sim_config.seed = seed + 1;
 
   const auto scheduler = make_named_scheduler(scheduler_name);
-  Cluster cluster(cluster_config, *scheduler);
+  EngineSimulation simulation(sim_config, *scheduler);
   std::uint64_t bench_seed = seed + 1000003;
   for (JobSpec& spec : generate_workload(workload)) {
     const Seconds bench =
         measure_benchmark(spec, nodes, defaults.noise_sigma, bench_seed++);
     apply_sensitivity(spec, spec.sensitivity, 1.5 * bench, spec.priority);
-    cluster.submit(std::move(spec));
+    simulation.submit(std::move(spec));
   }
-  return cluster.run();
+  return simulation.run();
 }
 
 void run_ablation() {

@@ -11,9 +11,9 @@
 #include <iostream>
 #include <string>
 
-#include "src/cluster/cluster.h"
 #include "src/config/job_config.h"
 #include "src/core/rush_scheduler.h"
+#include "src/engine/simulation.h"
 #include "src/metrics/text_table.h"
 
 using namespace rush;
@@ -40,8 +40,8 @@ class ReportingScheduler final : public Scheduler {
   explicit ReportingScheduler(RushConfig config) : inner_(std::move(config)) {}
 
   std::string name() const override { return inner_.name(); }
-  std::optional<JobId> assign_container(const ClusterView& view) override {
-    return inner_.assign_container(view);
+  std::vector<JobId> assign_containers(const ClusterView& view, int count) override {
+    return inner_.assign_containers(view, count);
   }
   void on_task_finished(const ClusterView& view, JobId job, Seconds runtime,
                         bool is_reduce) override {
@@ -102,14 +102,14 @@ int main(int argc, char** argv) {
   rush_config.prior.stddev_runtime = 10.0;
   ReportingScheduler scheduler(rush_config);
 
-  ClusterConfig cluster_config;
-  cluster_config.nodes = homogeneous_nodes(2, 8);  // 16 containers
-  cluster_config.runtime_noise_sigma = 0.2;
-  cluster_config.seed = 3;
-  Cluster cluster(cluster_config, scheduler);
-  for (const JobConfig& config : configs) cluster.submit(to_spec(config));
+  EngineSimulationConfig sim_config;
+  sim_config.nodes = homogeneous_nodes(2, 8);  // 16 containers
+  sim_config.runtime_noise_sigma = 0.2;
+  sim_config.seed = 3;
+  EngineSimulation simulation(sim_config, scheduler);
+  for (const JobConfig& config : configs) simulation.submit(to_spec(config));
 
-  const RunResult result = cluster.run();
+  const RunResult result = simulation.run();
 
   std::cout << "\n=== final outcomes ===\n";
   TextTable table({"job", "budget", "completed", "latency", "utility"});

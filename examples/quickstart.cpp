@@ -7,7 +7,7 @@
 // per job, run the event-driven engine with RushScheduler, and read the
 // results.  EngineSimulation is the virtual-clock event source on top of
 // SchedulerEngine — the same engine rushd feeds from a socket (DESIGN.md
-// §5j) — and reproduces the classic Cluster simulation bit-for-bit.
+// §5j).
 
 #include <iostream>
 

@@ -16,10 +16,9 @@
 //     --event-log F        record the engine event log (WAL format) to F
 //
 // Runs on the event-driven SchedulerEngine via EngineSimulation (DESIGN.md
-// §5j), which reproduces the classic Cluster simulation bit-for-bit; the
-// recorded event log replays through rushd / replay_events to the same
-// trace.  --speculation still runs the in-process Cluster — backup
-// attempts are the one feature the engine path does not model.
+// §5j); the recorded event log replays through replay_events to the same
+// trace, speculative backups and kills included — provided the replaying
+// engine has the same capacity, scheduler and speculation settings.
 //
 // Examples:
 //   simulate --scheduler FIFO --ratio 1.0 --jobs 100
@@ -146,49 +145,30 @@ int main(int argc, char** argv) {
   rush_config.phase_aware_estimation = opt.phase_aware;
   const auto scheduler = make_named_scheduler(opt.scheduler, rush_config);
 
+  EngineSimulationConfig sim_config;
+  sim_config.nodes = nodes;
+  sim_config.runtime_noise_sigma = noise_sigma;
+  sim_config.task_failure_probability = opt.failure_p;
+  sim_config.speculation.enabled = opt.speculation;
+  sim_config.seed = opt.seed + 1;
+  EngineSimulation simulation(sim_config, *scheduler);
   TraceRecorder trace;
-  RunResult result;
-  if (opt.speculation) {
-    // Backup attempts need the cluster's kill/speculate machinery, which
-    // the replayable engine path deliberately leaves out.
-    if (opt.event_log_path) {
-      std::cerr << "--event-log requires the engine path; drop --speculation\n";
-      return 2;
-    }
-    ClusterConfig cluster_config;
-    cluster_config.nodes = nodes;
-    cluster_config.runtime_noise_sigma = noise_sigma;
-    cluster_config.task_failure_probability = opt.failure_p;
-    cluster_config.enable_speculation = true;
-    cluster_config.seed = opt.seed + 1;
-    Cluster cluster(cluster_config, *scheduler);
-    if (opt.trace_path) cluster.set_observer(&trace);
-    for (JobSpec& spec : specs) cluster.submit(std::move(spec));
-    result = cluster.run();
-  } else {
-    EngineSimulationConfig sim_config;
-    sim_config.nodes = nodes;
-    sim_config.runtime_noise_sigma = noise_sigma;
-    sim_config.task_failure_probability = opt.failure_p;
-    sim_config.seed = opt.seed + 1;
-    EngineSimulation simulation(sim_config, *scheduler);
-    if (opt.trace_path) simulation.set_observer(&trace);
-    struct LogSink final : EngineSink {
-      explicit LogSink(const std::string& path) : log(path) {}
-      void on_event(const EngineEvent& event) override { log.append(event); }
-      EventLogWriter log;
-    };
-    std::optional<LogSink> event_log;
-    if (opt.event_log_path) {
-      event_log.emplace(*opt.event_log_path);
-      simulation.set_sink(&*event_log);
-    }
-    for (JobSpec& spec : specs) simulation.submit(std::move(spec));
-    result = simulation.run();
-    if (event_log) {
-      std::cout << "event log (" << event_log->log.records_written()
-                << " events) -> " << *opt.event_log_path << '\n';
-    }
+  if (opt.trace_path) simulation.set_observer(&trace);
+  struct LogSink final : EngineSink {
+    explicit LogSink(const std::string& path) : log(path) {}
+    void on_event(const EngineEvent& event) override { log.append(event); }
+    EventLogWriter log;
+  };
+  std::optional<LogSink> event_log;
+  if (opt.event_log_path) {
+    event_log.emplace(*opt.event_log_path);
+    simulation.set_sink(&*event_log);
+  }
+  for (JobSpec& spec : specs) simulation.submit(std::move(spec));
+  const RunResult result = simulation.run();
+  if (event_log) {
+    std::cout << "event log (" << event_log->log.records_written() << " events) -> "
+              << *opt.event_log_path << '\n';
   }
 
   if (opt.trace_path) {

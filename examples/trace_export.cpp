@@ -8,8 +8,8 @@
 #include <map>
 #include <string>
 
-#include "src/cluster/cluster.h"
 #include "src/core/rush_scheduler.h"
+#include "src/engine/simulation.h"
 #include "src/metrics/csv.h"
 #include "src/metrics/gantt.h"
 #include "src/metrics/text_table.h"
@@ -22,15 +22,15 @@ int main(int argc, char** argv) {
   const std::string path = argc > 1 ? argv[1] : output_path("rush_trace.csv");
 
   RushScheduler scheduler;
-  ClusterConfig cluster_config;
-  cluster_config.nodes = homogeneous_nodes(2, 6);  // 12 containers
-  cluster_config.runtime_noise_sigma = 0.25;
-  cluster_config.task_failure_probability = 0.05;  // a little chaos
-  cluster_config.seed = 21;
-  Cluster cluster(cluster_config, scheduler);
+  EngineSimulationConfig sim_config;
+  sim_config.nodes = homogeneous_nodes(2, 6);  // 12 containers
+  sim_config.runtime_noise_sigma = 0.25;
+  sim_config.task_failure_probability = 0.05;  // a little chaos
+  sim_config.seed = 21;
+  EngineSimulation simulation(sim_config, scheduler);
 
   TraceRecorder trace;
-  cluster.set_observer(&trace);
+  simulation.set_observer(&trace);
 
   WorkloadConfig workload;
   workload.num_jobs = 12;
@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
   workload.budget_ratio = 1.5;
   workload.benchmark_capacity = 12;
   workload.seed = 21;
-  for (JobSpec& spec : generate_workload(workload)) cluster.submit(std::move(spec));
+  for (JobSpec& spec : generate_workload(workload)) simulation.submit(std::move(spec));
 
-  const RunResult result = cluster.run();
+  const RunResult result = simulation.run();
   trace.write_csv(path);
 
   std::cout << "recorded " << trace.events().size() << " events -> " << path << "\n\n";

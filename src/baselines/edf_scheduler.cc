@@ -4,28 +4,6 @@
 
 namespace rush {
 
-std::optional<JobId> EdfScheduler::assign_container(const ClusterView& view) {
-  const JobView* head = nullptr;   // earliest-deadline incomplete job
-  const JobView* usable = nullptr; // earliest-deadline job that can run now
-  for (const JobView& jv : view.jobs) {
-    const bool earlier = head == nullptr || jv.budget_deadline < head->budget_deadline ||
-                         (jv.budget_deadline == head->budget_deadline && jv.id < head->id);
-    if (earlier) head = &jv;
-    if (jv.dispatchable_tasks > 0) {
-      const bool earlier_usable =
-          usable == nullptr || jv.budget_deadline < usable->budget_deadline ||
-          (jv.budget_deadline == usable->budget_deadline && jv.id < usable->id);
-      if (earlier_usable) usable = &jv;
-    }
-  }
-  if (exclusive_) {
-    if (head != nullptr && head->dispatchable_tasks > 0) return head->id;
-    return std::nullopt;
-  }
-  if (usable == nullptr) return std::nullopt;
-  return usable->id;
-}
-
 std::vector<JobId> EdfScheduler::assign_containers(const ClusterView& view,
                                                    int count) {
   std::vector<JobId> grants;

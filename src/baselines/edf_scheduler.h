@@ -17,9 +17,7 @@ class EdfScheduler final : public Scheduler {
   explicit EdfScheduler(bool exclusive = true) : exclusive_(exclusive) {}
 
   std::string name() const override { return exclusive_ ? "EDF" : "EDF-wc"; }
-  std::optional<JobId> assign_container(const ClusterView& view) override;
-  /// Batched seam: closed form of `count` consecutive per-container calls —
-  /// exclusive mode grants min(count, dispatchable) to the earliest-deadline
+  /// Exclusive mode grants min(count, dispatchable) to the earliest-deadline
   /// job; work-conserving mode walks jobs in (deadline, id) order.
   std::vector<JobId> assign_containers(const ClusterView& view, int count) override;
 

@@ -4,25 +4,6 @@
 
 namespace rush {
 
-std::optional<JobId> FairScheduler::assign_container(const ClusterView& view) {
-  // Max-min on the weight-normalised allocation: give the container to the
-  // dispatchable job with the smallest held/weight ratio.
-  const JobView* best = nullptr;
-  double best_ratio = 0.0;
-  for (const JobView& jv : view.jobs) {
-    if (jv.dispatchable_tasks <= 0) continue;
-    const double weight = std::max(jv.priority, 1e-9);
-    const double ratio = static_cast<double>(jv.running_tasks) / weight;
-    if (best == nullptr || ratio < best_ratio ||
-        (ratio == best_ratio && jv.id < best->id)) {
-      best = &jv;
-      best_ratio = ratio;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  return best->id;
-}
-
 std::vector<JobId> FairScheduler::assign_containers(const ClusterView& view,
                                                     int count) {
   std::vector<JobId> grants;
@@ -43,8 +24,7 @@ std::vector<JobId> FairScheduler::assign_containers(const ClusterView& view,
     for (std::size_t j = 0; j < n; ++j) {
       if (dispatchable[j] <= 0) continue;
       const double ratio = static_cast<double>(running[j]) / weight[j];
-      // Strict replication of the per-container tie-break: the id check
-      // works because slots ascend by id, so j < best implies lower id.
+      // Ties go to the lower id.
       if (best == n || ratio < best_ratio ||
           (ratio == best_ratio && view.jobs[j].id < view.jobs[best].id)) {
         best = j;

@@ -4,29 +4,6 @@
 
 namespace rush {
 
-std::optional<JobId> FifoScheduler::assign_container(const ClusterView& view) {
-  const JobView* head = nullptr;   // earliest incomplete job
-  const JobView* usable = nullptr; // earliest job that can use a container
-  for (const JobView& jv : view.jobs) {
-    const bool earlier = head == nullptr || jv.arrival < head->arrival ||
-                         (jv.arrival == head->arrival && jv.id < head->id);
-    if (earlier) head = &jv;
-    if (jv.dispatchable_tasks > 0) {
-      const bool earlier_usable =
-          usable == nullptr || jv.arrival < usable->arrival ||
-          (jv.arrival == usable->arrival && jv.id < usable->id);
-      if (earlier_usable) usable = &jv;
-    }
-  }
-  if (exclusive_) {
-    // Only the head-of-line job may run; idle the container otherwise.
-    if (head != nullptr && head->dispatchable_tasks > 0) return head->id;
-    return std::nullopt;
-  }
-  if (usable == nullptr) return std::nullopt;
-  return usable->id;
-}
-
 std::vector<JobId> FifoScheduler::assign_containers(const ClusterView& view,
                                                     int count) {
   std::vector<JobId> grants;
@@ -47,8 +24,8 @@ std::vector<JobId> FifoScheduler::assign_containers(const ClusterView& view,
                   head->id);
     return grants;
   }
-  // Work-conserving: deplete jobs in (arrival, id) order — each handout of
-  // the per-container loop picks the earliest job still dispatchable.
+  // Work-conserving: deplete jobs in (arrival, id) order — each handout
+  // goes to the earliest job still dispatchable.
   std::vector<const JobView*> order;
   for (const JobView& jv : view.jobs) {
     if (jv.dispatchable_tasks > 0) order.push_back(&jv);

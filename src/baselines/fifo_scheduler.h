@@ -19,10 +19,9 @@ class FifoScheduler final : public Scheduler {
   explicit FifoScheduler(bool exclusive = true) : exclusive_(exclusive) {}
 
   std::string name() const override { return exclusive_ ? "FIFO" : "FIFO-wc"; }
-  std::optional<JobId> assign_container(const ClusterView& view) override;
-  /// Batched seam: closed form of `count` consecutive per-container calls —
-  /// exclusive mode grants min(count, dispatchable) to the head-of-line job;
-  /// work-conserving mode walks jobs in (arrival, id) order depleting each.
+  /// Exclusive mode grants min(count, dispatchable) to the head-of-line
+  /// job; work-conserving mode walks jobs in (arrival, id) order depleting
+  /// each.
   std::vector<JobId> assign_containers(const ClusterView& view, int count) override;
 
  private:

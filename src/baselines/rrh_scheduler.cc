@@ -18,51 +18,6 @@ Seconds RrhScheduler::mean_runtime(const JobView& job) const {
   return 60.0;  // cold-start assumption, same default as RUSH's prior
 }
 
-Seconds RrhScheduler::projected_completion(const JobView& job, int containers,
-                                           Seconds now) const {
-  const double work =
-      static_cast<double>(job.remaining_tasks()) * mean_runtime(job);
-  if (containers <= 0) {
-    // Without resources the job drifts; model it as finishing one "round"
-    // after every other job would (a large but finite horizon keeps linear
-    // utilities comparable).
-    return now + 4.0 * work;
-  }
-  return now + work / static_cast<double>(containers);
-}
-
-std::optional<JobId> RrhScheduler::assign_container(const ClusterView& view) {
-  const JobView* best = nullptr;
-  double best_score = 0.0;
-  for (const JobView& jv : view.jobs) {
-    if (jv.dispatchable_tasks <= 0) continue;
-    // Reward: utility improvement from one extra container.
-    const Seconds t_with = projected_completion(jv, jv.running_tasks + 1, view.now);
-    const Seconds t_without = projected_completion(jv, jv.running_tasks, view.now);
-    const double reward = jv.utility->value(t_with) - jv.utility->value(t_without);
-    // Risk / opportunity cost: what the job stands to lose per task-time of
-    // delay around its budget knee — a *static* criticality bid.  Steep
-    // (time-critical) utilities bid their whole cliff and win containers
-    // long before their deadline; flat ones bid ~0.  A job whose projected
-    // completion already yields no utility is a sunk cost and bids only its
-    // (vanishing) marginal reward — the paper observes exactly this pair of
-    // behaviours for RRH: critical jobs finish far ahead of their deadlines
-    // while sensitive jobs are starved.
-    const double at_stake =
-        jv.utility->value(jv.budget_deadline) -
-        jv.utility->value(jv.budget_deadline + mean_runtime(jv));
-    const bool winnable = jv.utility->value(t_with) > 1e-3;
-    const double score = reward + (winnable ? at_stake : 0.0);
-    if (best == nullptr || score > best_score ||
-        (score == best_score && jv.budget_deadline < best->budget_deadline)) {
-      best = &jv;
-      best_score = score;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  return best->id;
-}
-
 std::vector<JobId> RrhScheduler::assign_containers(const ClusterView& view,
                                                    int count) {
   std::vector<JobId> grants;
@@ -85,6 +40,10 @@ std::vector<JobId> RrhScheduler::assign_containers(const ClusterView& view,
     at_stake[j] = jv.utility->value(jv.budget_deadline) -
                   jv.utility->value(jv.budget_deadline + mean);
   }
+  // Expected completion of job j if it holds `containers` containers from
+  // now on.  Without resources the job drifts; model it as finishing one
+  // "round" after every other job would (a large but finite horizon keeps
+  // linear utilities comparable).
   const auto projected = [&](std::size_t j, int containers) -> Seconds {
     if (containers <= 0) return view.now + 4.0 * work[j];
     return view.now + work[j] / static_cast<double>(containers);
@@ -95,9 +54,18 @@ std::vector<JobId> RrhScheduler::assign_containers(const ClusterView& view,
     for (std::size_t j = 0; j < n; ++j) {
       if (dispatchable[j] <= 0) continue;
       const JobView& jv = view.jobs[j];
+      // Reward: utility improvement from one extra container.
       const Seconds t_with = projected(j, running[j] + 1);
       const Seconds t_without = projected(j, running[j]);
       const double reward = jv.utility->value(t_with) - jv.utility->value(t_without);
+      // Risk / opportunity cost: what the job stands to lose per task-time
+      // of delay around its budget knee — a *static* criticality bid.  Steep
+      // (time-critical) utilities bid their whole cliff and win containers
+      // long before their deadline; flat ones bid ~0.  A job whose projected
+      // completion already yields no utility is a sunk cost and bids only
+      // its (vanishing) marginal reward — the paper observes exactly this
+      // pair of behaviours for RRH: critical jobs finish far ahead of their
+      // deadlines while sensitive jobs are starved.
       const bool winnable = jv.utility->value(t_with) > 1e-3;
       const double score = reward + (winnable ? at_stake[j] : 0.0);
       if (best == n || score > best_score ||

@@ -1,7 +1,5 @@
 #include "src/cluster/scheduler.h"
 
-#include "src/common/error.h"
-
 namespace rush {
 
 namespace {
@@ -36,37 +34,10 @@ JobView* ClusterView::find_mutable(JobId id) {
   return nullptr;
 }
 
-std::vector<JobId> Scheduler::assign_containers(const ClusterView& view, int count) {
-  std::vector<JobId> grants;
-  if (count <= 0) return grants;
-  grants.reserve(static_cast<std::size_t>(count));
-
-  // One scratch copy per wave.  Each single-container decision must see the
-  // state the per-container loop would: the chosen job holds one more
-  // container, has one fewer dispatchable task, and the free pool shrank.
-  ClusterView scratch = view;
-  for (int c = 0; c < count; ++c) {
-    bool any_dispatchable = false;
-    for (const JobView& j : scratch.jobs) {
-      if (j.dispatchable_tasks > 0) {
-        any_dispatchable = true;
-        break;
-      }
-    }
-    if (!any_dispatchable) break;
-
-    const std::optional<JobId> choice = assign_container(scratch);
-    if (!choice.has_value()) break;  // scheduler deliberately idles the rest
-    JobView* jv = scratch.find_mutable(*choice);
-    require(jv != nullptr, "Scheduler returned unknown job id");
-    require(jv->dispatchable_tasks > 0,
-            "Scheduler chose a job with no dispatchable task");
-    ++jv->running_tasks;
-    --jv->dispatchable_tasks;
-    --scratch.free_containers;
-    grants.push_back(*choice);
-  }
-  return grants;
+std::optional<JobId> Scheduler::assign_container(const ClusterView& view) {
+  const std::vector<JobId> grants = assign_containers(view, 1);
+  if (grants.empty()) return std::nullopt;
+  return grants.front();
 }
 
 }  // namespace rush

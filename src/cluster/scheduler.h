@@ -2,16 +2,14 @@
 // plug into the cluster, mirroring how a YARN scheduler plugs into the
 // ResourceManager.
 //
-// On every scheduling event (job arrival or task completion) the cluster
-// hands the scheduler a read-only ClusterView and asks it to place the free
-// containers.  The batched entry point assign_containers() receives all
-// free containers of the event wave at once; the base class adapts it onto
-// the classic one-container-at-a-time assign_container() virtual, so a
-// scheduler only has to implement whichever form is natural.  Either way
-// the scheduler sees only what YARN would expose: job metadata, task counts
-// and completed-task runtime samples.  Nominal task runtimes are
-// deliberately NOT visible — runtimes must be learned, which is the paper's
-// whole point.
+// On every scheduling event (job arrival or task completion) the engine
+// hands the scheduler a read-only ClusterView, and once per dispatch wave
+// it asks the scheduler to place all free containers at once through
+// assign_containers() — each scheduler's one grant routine.  The scheduler
+// sees only what YARN would expose: job metadata, task counts and
+// completed-task runtime samples.  Nominal task runtimes are deliberately
+// NOT visible — runtimes must be learned, which is the paper's whole
+// point.
 
 #pragma once
 
@@ -33,7 +31,7 @@ struct JobView {
   Seconds budget_deadline = 0.0;
   Priority priority = 1.0;
   Sensitivity sensitivity = Sensitivity::kTimeSensitive;
-  /// Utility over absolute completion time.  Owned by the cluster; valid
+  /// Utility over absolute completion time.  Owned by the engine; valid
   /// for the duration of the call.
   const UtilityFunction* utility = nullptr;
 
@@ -55,7 +53,7 @@ struct JobView {
   int remaining_tasks() const { return total_tasks - completed_tasks; }
 };
 
-/// Read-only cluster snapshot.  The cluster maintains one instance
+/// Read-only cluster snapshot.  The engine maintains one instance
 /// incrementally (stable slots sorted by ascending job id, refreshed in
 /// place from per-job dirty bits) instead of rebuilding it per call.
 struct ClusterView {
@@ -65,7 +63,7 @@ struct ClusterView {
   /// Jobs that have arrived and are not yet complete, ascending id order.
   std::vector<JobView> jobs;
   /// Dense id -> index into `jobs` (-1 = not present), maintained by the
-  /// cluster alongside the slots.  Hand-built views (tests) may leave it
+  /// engine alongside the slots.  Hand-built views (tests) may leave it
   /// empty, in which case find() falls back to the linear scan.
   std::vector<std::int32_t> id_to_index;
 
@@ -80,19 +78,16 @@ class Scheduler {
   /// Display name used in benchmark tables ("RUSH", "FIFO", ...).
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Chooses the job that receives the next free container, or nullopt to
-  /// leave it idle.  The chosen job must have dispatchable_tasks > 0.
-  virtual std::optional<JobId> assign_container(const ClusterView& view) = 0;
-
   /// Places up to `count` free containers in one call and returns the
   /// receiving job ids in handout order (possibly fewer than `count` when
-  /// the scheduler leaves the rest idle).  The base implementation loops
-  /// assign_container() over a scratch copy of the view whose running /
-  /// dispatchable counts evolve exactly as the cluster's would — no events
-  /// intervene between the handouts of one wave, so the batch is identical
-  /// to the per-container loop.  Schedulers may override it to compute the
-  /// whole batch from a single planning pass.
-  virtual std::vector<JobId> assign_containers(const ClusterView& view, int count);
+  /// the scheduler leaves the rest idle).  Each handout must go to a job
+  /// with a dispatchable task left after the earlier handouts of the call:
+  /// a grant raises the job's running count by one and lowers its
+  /// dispatchable count by one.
+  virtual std::vector<JobId> assign_containers(const ClusterView& view, int count) = 0;
+
+  /// One container: assign_containers(view, 1).
+  virtual std::optional<JobId> assign_container(const ClusterView& view);
 
   /// Notification hooks (default: ignore).
   virtual void on_job_arrival(const ClusterView& /*view*/, JobId /*job*/) {}

@@ -18,6 +18,10 @@ int SchedulerEngine::EngineJob::dispatchable() const {
 SchedulerEngine::SchedulerEngine(EngineConfig config, Scheduler& scheduler)
     : config_(config), scheduler_(scheduler) {
   require(config_.capacity > 0, "SchedulerEngine: need at least one container");
+  require(config_.speculation.max_attempts_per_task >= 1,
+          "SchedulerEngine: need at least one attempt per task");
+  require(config_.speculation.threshold > 0.0,
+          "SchedulerEngine: speculation threshold must be positive");
   container_attempts_.assign(static_cast<std::size_t>(config_.capacity), ContainerAttempt{});
   for (std::size_t c = 0; c < static_cast<std::size_t>(config_.capacity); ++c) {
     free_containers_.push_back(c);
@@ -58,8 +62,7 @@ std::optional<JobId> SchedulerEngine::process(const EngineEvent& event) {
 
 std::optional<JobId> SchedulerEngine::handle_job_submitted(const EngineEvent& event) {
   // A completion earlier in this timestamp batch may have its wave still
-  // pending; the per-container seam serves it before the arrival, so flush
-  // first to keep event order identical (Cluster::handle_arrival).
+  // pending; it is served before the arrival, in event order.
   flush();
   const JobId id = event.job_id;
   require(id >= 0, "SchedulerEngine: job id must be non-negative");
@@ -94,7 +97,7 @@ std::optional<JobId> SchedulerEngine::handle_job_submitted(const EngineEvent& ev
   ++stats_.scheduling_events;
   if (observer_ != nullptr) observer_->on_job_arrival(now_, id, config.name);
   scheduler_.on_job_arrival(current_view(), id);
-  // Arrivals dispatch immediately (Cluster::request_dispatch(flush=true)).
+  // Arrivals dispatch immediately.
   dispatch_pending_ = true;
   flush();
   return id;
@@ -124,8 +127,8 @@ void SchedulerEngine::handle_task_finished(const EngineEvent& event) {
   --job.running;
   mark_view_dirty(static_cast<std::size_t>(job.id));
 
-  // No speculation on the engine path: the finishing attempt is the task's
-  // only attempt, so the task cannot already be done.
+  // The first attempt to finish wins; its siblings are killed below, and
+  // their pending completions never arrive, so a task finishes once.
   auto& done = attempt.is_reduce ? job.reduce_done : job.map_done;
   ensure(done[static_cast<std::size_t>(attempt.task_index)] == 0,
          "SchedulerEngine: task finished twice");
@@ -134,7 +137,9 @@ void SchedulerEngine::handle_task_finished(const EngineEvent& event) {
   ++job.completed;
   if (!attempt.is_reduce) ++job.maps_completed;
   job.runtime_samples.push_back(event.runtime);
+  job.sample_sum += event.runtime;
   ++stats_.scheduling_events;
+  if (config_.speculation.enabled) kill_siblings(job, attempt);
 
   if (observer_ != nullptr) {
     observer_->on_task_finish(now_, job.id, event.container, event.runtime,
@@ -170,13 +175,15 @@ void SchedulerEngine::handle_container_freed(const EngineEvent& event) {
   ++stats_.task_failures;
   ++stats_.scheduling_events;
 
-  // Re-queue the task: without speculation it has no other attempt and
-  // cannot be done (Cluster::handle_attempt_failed with both guards true).
+  // Re-queue the task unless a sibling attempt is still running it.  A
+  // completed task has no running attempts left to fail.
   auto& done = attempt.is_reduce ? job.reduce_done : job.map_done;
   ensure(done[static_cast<std::size_t>(attempt.task_index)] == 0,
          "SchedulerEngine: failure reported for a completed task");
-  (attempt.is_reduce ? job.pending_reduces : job.pending_maps)
-      .push_back(attempt.task_index);
+  if (!config_.speculation.enabled || running_attempts(attempt) == 0) {
+    (attempt.is_reduce ? job.pending_reduces : job.pending_maps)
+        .push_back(attempt.task_index);
+  }
   dispatchable_total_ += job.dispatchable() - dispatchable_before;
   mark_view_dirty(static_cast<std::size_t>(job.id));
 
@@ -200,9 +207,10 @@ void SchedulerEngine::dispatch() {
   wave.index = stats_.dispatch_waves;
   wave.free_before = static_cast<ContainerCount>(free_containers_.size());
 
-  // Cluster::dispatch_batched verbatim: all free containers offered in one
-  // batched call against the incremental view; grants applied in handout
-  // order.
+  // All free containers are offered in one batched call against the
+  // incremental view; grants are applied in handout order.  No event can
+  // intervene between the handouts of a wave (launches only schedule
+  // strictly-future completions).
   while (!free_containers_.empty() && dispatchable_total_ > 0) {
     const int free_count = static_cast<int>(free_containers_.size());
     const std::vector<JobId> grants =
@@ -222,6 +230,7 @@ void SchedulerEngine::dispatch() {
     }
     if (static_cast<int>(grants.size()) < free_count) break;  // rest left idle
   }
+  if (config_.speculation.enabled) launch_speculative_backups(wave);
 
   wave.free_after = static_cast<ContainerCount>(free_containers_.size());
   collect_predictions(wave.predictions);
@@ -245,9 +254,16 @@ void SchedulerEngine::launch_task(std::size_t job_index, std::size_t container_i
     is_reduce = true;
   }
   dispatchable_total_ += job.dispatchable() - dispatchable_before;
+  start_attempt(job_index, task_index, is_reduce, container_index, wave);
+}
+
+void SchedulerEngine::start_attempt(std::size_t job_index, int task_index, bool is_reduce,
+                                    std::size_t container_index, EngineWave& wave) {
+  EngineJob& job = *jobs_[job_index];
   ++job.running;
   mark_view_dirty(job_index);
-  container_attempts_[container_index] = ContainerAttempt{job.id, task_index, is_reduce};
+  container_attempts_[container_index] =
+      ContainerAttempt{job.id, task_index, is_reduce, now_, next_launch_++};
 
   if (observer_ != nullptr) {
     observer_->on_task_start(now_, job.id, static_cast<int>(container_index), is_reduce);
@@ -259,6 +275,72 @@ void SchedulerEngine::launch_task(std::size_t job_index, std::size_t container_i
   assignment.is_reduce = is_reduce;
   wave.assignments.push_back(assignment);
   if (executor_ != nullptr) executor_->on_assignment(now_, assignment);
+}
+
+int SchedulerEngine::running_attempts(const ContainerAttempt& attempt) const {
+  int count = 0;
+  for (const ContainerAttempt& other : container_attempts_) {
+    if (other.same_task(attempt)) ++count;
+  }
+  return count;
+}
+
+void SchedulerEngine::kill_siblings(EngineJob& job, const ContainerAttempt& winner) {
+  // Kills go in launch order, not container order: each one pushes a
+  // container onto the free stack and emits a trace event.
+  std::vector<std::size_t> siblings;
+  for (std::size_t c = 0; c < container_attempts_.size(); ++c) {
+    if (container_attempts_[c].same_task(winner)) siblings.push_back(c);
+  }
+  std::sort(siblings.begin(), siblings.end(), [this](std::size_t a, std::size_t b) {
+    return container_attempts_[a].launch < container_attempts_[b].launch;
+  });
+  for (const std::size_t c : siblings) {
+    release_container(c);
+    --job.running;
+    ++stats_.speculative_kills;
+    if (observer_ != nullptr) observer_->on_task_killed(now_, job.id, static_cast<int>(c));
+    if (executor_ != nullptr) executor_->on_kill(now_, static_cast<int>(c));
+  }
+}
+
+void SchedulerEngine::launch_speculative_backups(EngineWave& wave) {
+  const SpeculationConfig& speculation = config_.speculation;
+  while (!free_containers_.empty()) {
+    // The worst straggler: the running attempt with the largest elapsed /
+    // mean-runtime ratio above the threshold whose task can take another
+    // attempt.  Equal ratios go to the earliest launch.
+    std::size_t straggler = container_attempts_.size();
+    double worst_ratio = speculation.threshold;
+    for (std::size_t c = 0; c < container_attempts_.size(); ++c) {
+      const ContainerAttempt& attempt = container_attempts_[c];
+      if (attempt.job == kInvalidJob) continue;
+      const EngineJob& job = *jobs_[static_cast<std::size_t>(attempt.job)];
+      if (job.runtime_samples.empty()) continue;  // nothing to compare against
+      const double mean =
+          job.sample_sum / static_cast<double>(job.runtime_samples.size());
+      if (mean <= 0.0) continue;
+      const double ratio = (now_ - attempt.granted_at) / mean;
+      if (ratio < worst_ratio ||
+          (ratio == worst_ratio &&
+           (straggler == container_attempts_.size() ||
+            attempt.launch > container_attempts_[straggler].launch))) {
+        continue;
+      }
+      if (running_attempts(attempt) >= speculation.max_attempts_per_task) continue;
+      worst_ratio = ratio;
+      straggler = c;
+    }
+    if (straggler == container_attempts_.size()) return;
+
+    const ContainerAttempt target = container_attempts_[straggler];
+    const std::size_t container_index = free_containers_.back();
+    free_containers_.pop_back();
+    ++stats_.speculative_attempts;
+    ++stats_.assignments;
+    start_attempt(static_cast<std::size_t>(target.job), target.task_index,
+                  target.is_reduce, container_index, wave);
+  }
 }
 
 void SchedulerEngine::collect_predictions(std::vector<EnginePrediction>& out) const {
@@ -300,8 +382,7 @@ std::vector<JobRecord> SchedulerEngine::job_records() const {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental view maintenance — Cluster's discipline, restated over
-// EngineJob (the differential tests prove the two seams byte-identical).
+// Incremental view maintenance.
 
 void SchedulerEngine::fill_job_view(const EngineJob& job, JobView& view) const {
   view.id = job.id;
@@ -342,6 +423,8 @@ void SchedulerEngine::refresh_job_slot(std::size_t job_index) {
     return;
   }
   if (slot < 0) {
+    // Arrival order need not match id order; insert at the position that
+    // keeps slots ascending by id.
     const auto pos_it =
         std::lower_bound(view_.jobs.begin(), view_.jobs.end(), job.id,
                          [](const JobView& v, JobId id) { return v.id < id; });
@@ -414,7 +497,7 @@ void SchedulerEngine::rebuild_view() {
 // Snapshot seam.
 
 namespace {
-constexpr std::uint8_t kEngineStateVersion = 1;
+constexpr std::uint8_t kEngineStateVersion = 2;
 constexpr char kEngineSection[] = "engine";
 constexpr char kSchedulerSection[] = "scheduler";
 }  // namespace
@@ -433,7 +516,10 @@ void SchedulerEngine::save_state(Snapshot& snapshot) const {
     out.put_i64(attempt.job);
     out.put_i64(attempt.task_index);
     out.put_bool(attempt.is_reduce);
+    out.put_double(attempt.granted_at);
+    out.put_u64(attempt.launch);
   }
+  out.put_u64(next_launch_);
 
   out.put_u64(jobs_.size());
   for (const auto& job : jobs_) {
@@ -461,6 +547,8 @@ void SchedulerEngine::save_state(Snapshot& snapshot) const {
   out.put_i64(stats_.task_failures);
   out.put_i64(stats_.dispatch_waves);
   out.put_i64(stats_.view_updates);
+  out.put_i64(stats_.speculative_attempts);
+  out.put_i64(stats_.speculative_kills);
   snapshot.set(kEngineSection, out.take());
 
   std::string scheduler_blob;
@@ -488,7 +576,10 @@ void SchedulerEngine::restore_state(const Snapshot& snapshot) {
     attempt.job = in.get_i64();
     attempt.task_index = static_cast<int>(in.get_i64());
     attempt.is_reduce = in.get_bool();
+    attempt.granted_at = in.get_double();
+    attempt.launch = in.get_u64();
   }
+  next_launch_ = in.get_u64();
 
   jobs_.clear();
   unfinished_ = 0;
@@ -528,6 +619,7 @@ void SchedulerEngine::restore_state(const Snapshot& snapshot) {
     const auto n_samples = static_cast<std::size_t>(in.get_u64());
     for (std::size_t s = 0; s < n_samples; ++s) {
       job->runtime_samples.push_back(in.get_double());
+      job->sample_sum += job->runtime_samples.back();
     }
     if (!job->finished) ++unfinished_;
     jobs_.push_back(std::move(job));
@@ -538,6 +630,8 @@ void SchedulerEngine::restore_state(const Snapshot& snapshot) {
   stats_.task_failures = in.get_i64();
   stats_.dispatch_waves = in.get_i64();
   stats_.view_updates = in.get_i64();
+  stats_.speculative_attempts = in.get_i64();
+  stats_.speculative_kills = in.get_i64();
   in.expect_end("SchedulerEngine::restore_state");
 
   scheduler_.restore_state(snapshot.get(kSchedulerSection));

@@ -12,6 +12,8 @@ RunResult engine_run_result(const SchedulerEngine& engine) {
   result.task_failures = stats.task_failures;
   result.dispatch_waves = stats.dispatch_waves;
   result.view_updates = stats.view_updates;
+  result.speculative_attempts = stats.speculative_attempts;
+  result.speculative_kills = stats.speculative_kills;
   result.jobs = engine.job_records();
   for (const JobRecord& record : result.jobs) {
     if (record.completion >= kNever) {

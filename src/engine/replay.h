@@ -22,8 +22,9 @@ namespace rush {
 
 /// Replays a recorded stream through a fresh engine: processes every event
 /// in order, flushes the final wave, and returns a RunResult equivalent to
-/// the recording session's (speculative/legacy-seam counters structurally
-/// zero).  `observer` and `sink` may be null.
+/// the recording session's.  `config` must match the recording engine's,
+/// speculation settings included: backups and kills are engine decisions,
+/// re-derived from the events.  `observer` and `sink` may be null.
 RunResult replay_events(const EngineConfig& config, Scheduler& scheduler,
                         const std::vector<EngineEvent>& events,
                         ClusterObserver* observer = nullptr,
@@ -41,8 +42,8 @@ void restore_and_replay(SchedulerEngine& engine, const Snapshot& snapshot,
 /// 0 when the stream has no marker (cold replay from the beginning).
 std::size_t replay_begin_after_last_snapshot(const std::vector<EngineEvent>& events);
 
-/// Builds the Cluster-shaped RunResult for an engine's current state
-/// (shared by replay_events and EngineSimulation::run).
+/// Builds the RunResult for an engine's current state (shared by
+/// replay_events and EngineSimulation::run).
 RunResult engine_run_result(const SchedulerEngine& engine);
 
 }  // namespace rush

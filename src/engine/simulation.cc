@@ -37,11 +37,11 @@ ContainerCount EngineSimulation::total_capacity(const std::vector<Node>& nodes) 
 
 EngineSimulation::EngineSimulation(EngineSimulationConfig config, Scheduler& scheduler)
     : config_(std::move(config)),
-      engine_(EngineConfig{total_capacity(config_.nodes), config_.audit_view},
+      engine_(EngineConfig{total_capacity(config_.nodes), config_.audit_view,
+                           config_.speculation},
               scheduler),
       rng_(config_.seed) {
-  // Containers materialize per node in declaration order — the same
-  // container-index/speed mapping Cluster's constructor builds.
+  // Containers materialize per node in declaration order.
   for (const Node& node : config_.nodes) {
     require(node.containers > 0, "EngineSimulation: node with no containers");
     require(node.speed_factor > 0.0, "EngineSimulation: non-positive speed factor");
@@ -58,6 +58,8 @@ JobId EngineSimulation::submit(JobSpec spec) {
   require(spec.arrival >= 0.0, "EngineSimulation::submit: negative arrival");
   SimJob job;
   for (const TaskSpec& task : spec.tasks) {
+    require(task.nominal_runtime > 0.0,
+            "EngineSimulation::submit: non-positive task runtime");
     (task.is_reduce ? job.reduce_nominal : job.map_nominal)
         .push_back(task.nominal_runtime);
   }
@@ -88,8 +90,7 @@ void EngineSimulation::on_assignment(Seconds /*now*/, const EngineAssignment& as
   const Seconds nominal = nominals[static_cast<std::size_t>(assignment.task_index)];
   const double speed =
       containers_[static_cast<std::size_t>(assignment.container)].speed_factor;
-  // Draw order per attempt matches Cluster::start_attempt exactly — noise,
-  // failure coin, wasted fraction — so the RNG streams stay aligned.
+  // Draw order per attempt: noise, failure coin, wasted fraction.
   const double noise = config_.runtime_noise_sigma > 0.0
                            ? rng_.lognormal_noise(config_.runtime_noise_sigma)
                            : 1.0;
@@ -97,16 +98,24 @@ void EngineSimulation::on_assignment(Seconds /*now*/, const EngineAssignment& as
   const bool fails = config_.task_failure_probability > 0.0 &&
                      rng_.uniform() < config_.task_failure_probability;
   const int container = assignment.container;
+  const std::uint64_t attempt =
+      ++containers_[static_cast<std::size_t>(container)].attempt;
   if (fails) {
     const Seconds wasted = runtime * rng_.uniform(0.1, 0.9);
-    sim_.schedule_after(wasted, [this, container, wasted] {
+    sim_.schedule_after(wasted, [this, container, attempt, wasted] {
+      if (containers_[static_cast<std::size_t>(container)].attempt != attempt) return;
       engine_.process(make_container_freed(sim_.now(), container, wasted));
     });
     return;
   }
-  sim_.schedule_after(runtime, [this, container, runtime] {
+  sim_.schedule_after(runtime, [this, container, attempt, runtime] {
+    if (containers_[static_cast<std::size_t>(container)].attempt != attempt) return;
     engine_.process(make_task_finished(sim_.now(), container, runtime));
   });
+}
+
+void EngineSimulation::on_kill(Seconds /*now*/, int container) {
+  ++containers_[static_cast<std::size_t>(container)].attempt;
 }
 
 }  // namespace rush

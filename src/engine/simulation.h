@@ -1,19 +1,22 @@
-// Virtual-clock event source: the old Cluster simulation re-based on the
-// SchedulerEngine (DESIGN.md §5j).
+// Virtual-clock event source: the repo's simulator, built on the
+// SchedulerEngine (DESIGN.md §5j).  It stands in for the paper's YARN
+// Hadoop testbed (DESIGN.md §2).
 //
 // EngineSimulation owns the physics the engine deliberately does not —
 // per-task nominal runtimes, node speed factors, the noise/failure RNG —
 // and turns them into the engine's event vocabulary: a submitted JobSpec
 // becomes a JobSubmitted event at its arrival time; every container grant
 // the engine makes comes back (via the EngineExecutor seam) as a sampled
-// TaskFinished or ContainerFreed event on the virtual clock.  The RNG draw
-// order per attempt (lognormal noise, failure coin, wasted fraction) is the
-// one Cluster::start_attempt uses, so a run here is byte-identical to the
-// equivalent Cluster run — traces, metrics and RunResult alike — which the
-// engine_replay differential tests enforce seed-by-seed.
+// TaskFinished or ContainerFreed event on the virtual clock.  Each attempt
+// draws, in order, its lognormal noise, its failure coin and (when it
+// fails) its wasted fraction, so a seeded run is reproducible to the bit
+// (tests/sim_golden_test.cc freezes the digests).  Runtimes are nominal x
+// node speed x noise, sampled when the attempt starts — the scheduler only
+// ever observes completed runtimes.
 //
-// Speculation is not supported on this path (see engine.h); use Cluster
-// for speculation experiments.
+// With speculation on, the engine launches backup attempts itself and
+// reports each killed loser through EngineExecutor::on_kill; the
+// simulation then drops that attempt's pending completion.
 
 #pragma once
 
@@ -43,6 +46,8 @@ struct EngineSimulationConfig {
   Seconds max_time = 1e9;
   /// Forwarded to EngineConfig::audit_view.
   bool audit_view = kDcheckEnabled;
+  /// Forwarded to EngineConfig::speculation.
+  SpeculationConfig speculation = {};
 };
 
 class EngineSimulation : private EngineExecutor {
@@ -55,23 +60,27 @@ class EngineSimulation : private EngineExecutor {
   void set_sink(EngineSink* sink) { engine_.set_sink(sink); }
 
   /// Registers a job for submission at spec.arrival.  Must be called
-  /// before run().  Ids are dense in submission order — the same ids
-  /// Cluster::submit assigns, carried explicitly on the JobSubmitted
+  /// before run(); throws InvalidInput for a job without tasks, a negative
+  /// arrival or a non-positive task runtime (the engine validates the rest
+  /// of the job's config when it arrives).  Ids
+  /// are dense in submission order, carried explicitly on the JobSubmitted
   /// events so arrival-order ties cannot renumber jobs.
   JobId submit(JobSpec spec);
 
-  /// Runs until every submitted job completes (or max_time).  The
-  /// RunResult matches Cluster::run field-for-field (speculative and
-  /// legacy-seam counters are structurally zero on this path).
+  /// Runs until every submitted job completes (or max_time).
   RunResult run();
 
   ContainerCount capacity() const { return engine_.capacity(); }
   SchedulerEngine& engine() { return engine_; }
 
  private:
-  /// Per-container physics: node speed, like Cluster::Container.
+  /// Per-container physics: node speed, and the number of the attempt
+  /// whose completion is pending there.  Every grant and every kill bumps
+  /// it, so the event of a killed attempt finds a newer number and is
+  /// dropped.
   struct SimContainer {
     double speed_factor = 1.0;
+    std::uint64_t attempt = 0;
   };
 
   /// Submitted-but-not-yet-arrived physics of one job.
@@ -83,6 +92,7 @@ class EngineSimulation : private EngineExecutor {
   };
 
   void on_assignment(Seconds now, const EngineAssignment& assignment) override;
+  void on_kill(Seconds now, int container) override;
 
   static ContainerCount total_capacity(const std::vector<Node>& nodes);
 

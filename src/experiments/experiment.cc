@@ -7,6 +7,7 @@
 #include "src/baselines/fifo_scheduler.h"
 #include "src/baselines/rrh_scheduler.h"
 #include "src/common/error.h"
+#include "src/engine/simulation.h"
 #include "src/workload/generator.h"
 
 namespace rush {
@@ -29,19 +30,19 @@ double budget_calibration(const std::vector<Node>& nodes, double noise_sigma) {
 Seconds measure_benchmark(const JobSpec& spec, const std::vector<Node>& nodes,
                           double noise_sigma, std::uint64_t seed) {
   FifoScheduler solo;
-  ClusterConfig config;
+  EngineSimulationConfig config;
   config.nodes = nodes;
   config.runtime_noise_sigma = noise_sigma;
   config.seed = seed;
-  Cluster cluster(config, solo);
+  EngineSimulation simulation(config, solo);
   JobSpec alone = spec;
   alone.arrival = 0.0;
   // The benchmark must not depend on the job's utility configuration.
   alone.budget = 0.0;
   alone.utility_kind = "constant";
   alone.priority = 1.0;
-  cluster.submit(std::move(alone));
-  const RunResult result = cluster.run();
+  simulation.submit(std::move(alone));
+  const RunResult result = simulation.run();
   ensure(result.completed, "measure_benchmark: solo run did not complete");
   return result.jobs[0].completion;
 }
@@ -63,17 +64,15 @@ RunResult run_experiment(const std::string& scheduler_name,
   workload.benchmark_speed = budget_calibration(nodes, config.noise_sigma);
   workload.seed = config.seed;
 
-  ClusterConfig cluster_config;
-  cluster_config.nodes = nodes;
-  cluster_config.runtime_noise_sigma = config.noise_sigma;
-  cluster_config.seed = config.seed + 1;  // independent of workload stream
-  cluster_config.batched_dispatch = config.batched_seam;
-  cluster_config.audit_incremental_view = config.audit_seam;
-  cluster_config.profile_seam = config.profile_seam;
+  EngineSimulationConfig sim_config;
+  sim_config.nodes = nodes;
+  sim_config.runtime_noise_sigma = config.noise_sigma;
+  sim_config.seed = config.seed + 1;  // independent of workload stream
+  sim_config.audit_view = config.audit_view;
 
   const auto scheduler = make_named_scheduler(scheduler_name, config.rush);
-  Cluster cluster(cluster_config, *scheduler);
-  cluster.set_observer(config.observer);
+  EngineSimulation simulation(sim_config, *scheduler);
+  simulation.set_observer(config.observer);
   std::uint64_t bench_seed = config.seed + 1000003;
   for (JobSpec& spec : generate_workload(workload)) {
     // Replace the generator's analytic budget with the measured solo
@@ -83,9 +82,9 @@ RunResult run_experiment(const std::string& scheduler_name,
         measure_benchmark(spec, nodes, config.noise_sigma, bench_seed++);
     apply_sensitivity(spec, spec.sensitivity, config.budget_ratio * bench,
                       spec.priority);
-    cluster.submit(std::move(spec));
+    simulation.submit(std::move(spec));
   }
-  RunResult result = cluster.run();
+  RunResult result = simulation.run();
   if (const auto* rush = dynamic_cast<const RushScheduler*>(scheduler.get())) {
     const PlanStats stats = rush->plan_stats();
     result.plan_passes = stats.passes;

@@ -1,9 +1,10 @@
 // Execution trace recording.
 //
-// TraceRecorder plugs into Cluster::set_observer and captures every
-// arrival / task start / finish / failure / job completion with its
-// timestamp, enabling trace-driven post-analysis: cluster utilisation,
-// per-job spans, container timelines, CSV export for external plotting.
+// TraceRecorder plugs into EngineSimulation::set_observer (or any
+// SchedulerEngine's) and captures every arrival / task start / finish /
+// failure / kill / job completion with its timestamp, enabling trace-driven
+// post-analysis: cluster utilisation, per-job spans, container timelines,
+// CSV export for external plotting.
 
 #pragma once
 

@@ -4,7 +4,7 @@
 #include "src/baselines/fair_scheduler.h"
 #include "src/baselines/fifo_scheduler.h"
 #include "src/baselines/rrh_scheduler.h"
-#include "src/cluster/cluster.h"
+#include "src/engine/simulation.h"
 
 namespace rush {
 namespace {
@@ -23,8 +23,8 @@ JobSpec make_job(const std::string& name, Seconds arrival, Seconds budget, int t
   return spec;
 }
 
-ClusterConfig config_with(ContainerCount containers) {
-  ClusterConfig config;
+EngineSimulationConfig config_with(ContainerCount containers) {
+  EngineSimulationConfig config;
   config.nodes = homogeneous_nodes(1, containers);
   config.runtime_noise_sigma = 0.0;
   return config;
@@ -158,10 +158,10 @@ TEST(BaselineBehaviour, FifoHeadOfLineBlocking) {
   // A huge early job starves a later tiny job under FIFO; EDF lets the tiny
   // tight-deadline job through first.
   const auto run = [](Scheduler& s) {
-    Cluster cluster(config_with(2), s);
-    cluster.submit(make_job("big", 0.0, 10000.0, 20, 30.0));
-    cluster.submit(make_job("tiny", 1.0, 50.0, 1, 10.0));
-    const auto result = cluster.run();
+    EngineSimulation simulation(config_with(2), s);
+    simulation.submit(make_job("big", 0.0, 10000.0, 20, 30.0));
+    simulation.submit(make_job("tiny", 1.0, 50.0, 1, 10.0));
+    const auto result = simulation.run();
     return result.jobs[1].completion;
   };
   FifoScheduler fifo;
@@ -196,13 +196,13 @@ TEST(BaselineBehaviour, AllBaselinesDrainTheCluster) {
   RrhScheduler rrh;
   FairScheduler fair;
   for (Scheduler* s : std::initializer_list<Scheduler*>{&fifo, &edf, &rrh, &fair}) {
-    Cluster cluster(config_with(3), *s);
+    EngineSimulation simulation(config_with(3), *s);
     for (int i = 0; i < 6; ++i) {
-      cluster.submit(make_job("j" + std::to_string(i), i * 5.0, 200.0, 4, 8.0,
+      simulation.submit(make_job("j" + std::to_string(i), i * 5.0, 200.0, 4, 8.0,
                               i % 2 == 0 ? "sigmoid" : "linear", 0.1,
                               1.0 + i % 3));
     }
-    const auto result = cluster.run();
+    const auto result = simulation.run();
     EXPECT_TRUE(result.completed) << s->name();
     for (const auto& job : result.jobs) {
       EXPECT_NE(job.completion, kNever) << s->name() << " " << job.name;

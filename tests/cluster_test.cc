@@ -1,4 +1,4 @@
-#include "src/cluster/cluster.h"
+#include "src/engine/simulation.h"
 
 #include <algorithm>
 #include <gtest/gtest.h>
@@ -23,8 +23,8 @@ JobSpec simple_job(const std::string& name, Seconds arrival, int maps, int reduc
   return spec;
 }
 
-ClusterConfig quiet_config(int nodes, ContainerCount per_node) {
-  ClusterConfig config;
+EngineSimulationConfig quiet_config(int nodes, ContainerCount per_node) {
+  EngineSimulationConfig config;
   config.nodes = homogeneous_nodes(nodes, per_node);
   config.runtime_noise_sigma = 0.0;  // deterministic runtimes
   config.seed = 7;
@@ -33,9 +33,9 @@ ClusterConfig quiet_config(int nodes, ContainerCount per_node) {
 
 TEST(Cluster, RunsOneJobToCompletion) {
   FifoScheduler scheduler;
-  Cluster cluster(quiet_config(1, 2), scheduler);
-  cluster.submit(simple_job("solo", 0.0, 4, 0, 10.0));
-  const auto result = cluster.run();
+  EngineSimulation simulation(quiet_config(1, 2), scheduler);
+  simulation.submit(simple_job("solo", 0.0, 4, 0, 10.0));
+  const auto result = simulation.run();
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_TRUE(result.completed);
   // 4 tasks of 10s on 2 containers: two waves -> 20 s.
@@ -46,24 +46,22 @@ TEST(Cluster, RunsOneJobToCompletion) {
 
 TEST(Cluster, ReduceBarrierDelaysReduces) {
   FifoScheduler scheduler;
-  Cluster cluster(quiet_config(1, 4), scheduler);
+  EngineSimulation simulation(quiet_config(1, 4), scheduler);
   // 2 maps of 10s then 1 reduce of 5s.  With 4 containers the reduce could
   // start at 0 if the barrier were ignored; with the barrier it starts at 10.
-  cluster.submit(simple_job("mr", 0.0, 2, 1, 10.0));
-  auto& spec = cluster;  // silence unused warnings in some compilers
-  (void)spec;
-  const auto result = cluster.run();
+  simulation.submit(simple_job("mr", 0.0, 2, 1, 10.0));
+  const auto result = simulation.run();
   // Completion = 10 (maps) + 10 (reduce, same nominal runtime).
   EXPECT_DOUBLE_EQ(result.jobs[0].completion, 20.0);
 }
 
 TEST(Cluster, CapacityIsNeverExceeded) {
   FifoScheduler scheduler(/*exclusive=*/false);  // work-conserving packing
-  Cluster cluster(quiet_config(2, 2), scheduler);  // capacity 4
+  EngineSimulation simulation(quiet_config(2, 2), scheduler);  // capacity 4
   for (int i = 0; i < 5; ++i) {
-    cluster.submit(simple_job("j" + std::to_string(i), 0.0, 3, 0, 7.0));
+    simulation.submit(simple_job("j" + std::to_string(i), 0.0, 3, 0, 7.0));
   }
-  const auto result = cluster.run();
+  const auto result = simulation.run();
   EXPECT_TRUE(result.completed);
   // 15 tasks of 7s on 4 containers: ceil(15/4)=4 waves -> 28 s.
   EXPECT_DOUBLE_EQ(result.makespan, 28.0);
@@ -71,24 +69,24 @@ TEST(Cluster, CapacityIsNeverExceeded) {
 
 TEST(Cluster, HeterogeneousNodesSlowTasksDown) {
   FifoScheduler scheduler;
-  ClusterConfig config;
+  EngineSimulationConfig config;
   config.nodes = {{1, 2.0}};  // single container, 2x slower
   config.runtime_noise_sigma = 0.0;
-  Cluster cluster(config, scheduler);
-  cluster.submit(simple_job("slow", 0.0, 1, 0, 10.0));
-  const auto result = cluster.run();
+  EngineSimulation simulation(config, scheduler);
+  simulation.submit(simple_job("slow", 0.0, 1, 0, 10.0));
+  const auto result = simulation.run();
   EXPECT_DOUBLE_EQ(result.jobs[0].completion, 20.0);
 }
 
 TEST(Cluster, RuntimeNoiseIsDeterministicInSeed) {
   const auto run_once = [](std::uint64_t seed) {
     FifoScheduler scheduler;
-    ClusterConfig config = quiet_config(1, 2);
+    EngineSimulationConfig config = quiet_config(1, 2);
     config.runtime_noise_sigma = 0.3;
     config.seed = seed;
-    Cluster cluster(config, scheduler);
-    cluster.submit(simple_job("noisy", 0.0, 6, 1, 10.0));
-    return cluster.run().jobs[0].completion;
+    EngineSimulation simulation(config, scheduler);
+    simulation.submit(simple_job("noisy", 0.0, 6, 1, 10.0));
+    return simulation.run().jobs[0].completion;
   };
   EXPECT_DOUBLE_EQ(run_once(11), run_once(11));
   EXPECT_NE(run_once(11), run_once(12));
@@ -96,21 +94,21 @@ TEST(Cluster, RuntimeNoiseIsDeterministicInSeed) {
 
 TEST(Cluster, ArrivalsGateExecution) {
   FifoScheduler scheduler;
-  Cluster cluster(quiet_config(1, 4), scheduler);
-  cluster.submit(simple_job("late", 100.0, 2, 0, 5.0));
-  const auto result = cluster.run();
+  EngineSimulation simulation(quiet_config(1, 4), scheduler);
+  simulation.submit(simple_job("late", 100.0, 2, 0, 5.0));
+  const auto result = simulation.run();
   EXPECT_DOUBLE_EQ(result.jobs[0].completion, 105.0);
 }
 
 TEST(Cluster, UtilityRecordedAtCompletion) {
   FifoScheduler scheduler;
-  Cluster cluster(quiet_config(1, 1), scheduler);
+  EngineSimulation simulation(quiet_config(1, 1), scheduler);
   JobSpec spec = simple_job("u", 0.0, 2, 0, 10.0, /*budget=*/100.0);
   spec.utility_kind = "linear";
   spec.priority = 5.0;
   spec.beta = 0.1;
-  cluster.submit(std::move(spec));
-  const auto result = cluster.run();
+  simulation.submit(std::move(spec));
+  const auto result = simulation.run();
   // Completion at 20, utility = 0.1*(100-20)+5 = 13.
   EXPECT_NEAR(result.jobs[0].utility, 13.0, 1e-9);
   EXPECT_NEAR(result.jobs[0].latency(), -80.0, 1e-9);
@@ -119,11 +117,11 @@ TEST(Cluster, UtilityRecordedAtCompletion) {
 
 TEST(Cluster, MaxTimeAbandonsUnfinishedJobs) {
   FifoScheduler scheduler;
-  ClusterConfig config = quiet_config(1, 1);
+  EngineSimulationConfig config = quiet_config(1, 1);
   config.max_time = 15.0;
-  Cluster cluster(config, scheduler);
-  cluster.submit(simple_job("long", 0.0, 10, 0, 10.0));
-  const auto result = cluster.run();
+  EngineSimulation simulation(config, scheduler);
+  simulation.submit(simple_job("long", 0.0, 10, 0, 10.0));
+  const auto result = simulation.run();
   EXPECT_FALSE(result.completed);
   EXPECT_EQ(result.jobs[0].completion, kNever);
   EXPECT_DOUBLE_EQ(result.jobs[0].utility, 0.0);
@@ -131,14 +129,29 @@ TEST(Cluster, MaxTimeAbandonsUnfinishedJobs) {
 
 TEST(Cluster, SubmissionValidation) {
   FifoScheduler scheduler;
-  Cluster cluster(quiet_config(1, 1), scheduler);
+  EngineSimulation simulation(quiet_config(1, 1), scheduler);
   JobSpec empty;
   empty.name = "empty";
-  EXPECT_THROW(cluster.submit(empty), InvalidInput);
+  EXPECT_THROW(simulation.submit(empty), InvalidInput);
   JobSpec bad = simple_job("bad", -1.0, 1, 0, 5.0);
-  EXPECT_THROW(cluster.submit(bad), InvalidInput);
-  ClusterConfig no_nodes;
-  EXPECT_THROW(Cluster(no_nodes, scheduler), InvalidInput);
+  EXPECT_THROW(simulation.submit(bad), InvalidInput);
+  // Task runtimes are checked at submission, not when the task first runs:
+  // a negative runtime would otherwise schedule an event in the past, and
+  // an all-zero job would fail only at its arrival.
+  JobSpec negative = simple_job("negative", 0.0, 2, 0, 20.0);
+  negative.tasks[0].nominal_runtime = -5.0;
+  EXPECT_THROW(simulation.submit(negative), InvalidInput);
+  JobSpec zero = simple_job("zero", 0.0, 1, 1, 0.0);
+  EXPECT_THROW(simulation.submit(zero), InvalidInput);
+  JobSpec one_zero = simple_job("one-zero", 0.0, 2, 0, 20.0);
+  one_zero.tasks[0].nominal_runtime = 0.0;
+  EXPECT_THROW(simulation.submit(one_zero), InvalidInput);
+  EngineSimulationConfig no_nodes;
+  EXPECT_THROW(EngineSimulation(no_nodes, scheduler), InvalidInput);
+  // The rejected submissions left no trace: the run is empty and completes.
+  const auto result = simulation.run();
+  EXPECT_TRUE(result.jobs.empty());
+  EXPECT_TRUE(result.completed);
 }
 
 TEST(Cluster, SchedulerSeesOnlyObservables) {
@@ -147,20 +160,24 @@ TEST(Cluster, SchedulerSeesOnlyObservables) {
   class ProbeScheduler final : public Scheduler {
    public:
     std::string name() const override { return "probe"; }
-    std::optional<JobId> assign_container(const ClusterView& view) override {
+    std::vector<JobId> assign_containers(const ClusterView& view, int count) override {
+      std::vector<JobId> grants;
       for (const JobView& j : view.jobs) {
         EXPECT_EQ(j.total_tasks, 3);
         EXPECT_GE(j.dispatchable_tasks, 0);
         EXPECT_EQ(static_cast<int>(j.runtime_samples->size()), j.completed_tasks);
-        if (j.dispatchable_tasks > 0) return j.id;
+        for (int t = 0; t < j.dispatchable_tasks; ++t) {
+          if (static_cast<int>(grants.size()) == count) return grants;
+          grants.push_back(j.id);
+        }
       }
-      return std::nullopt;
+      return grants;
     }
   };
   ProbeScheduler scheduler;
-  Cluster cluster(quiet_config(1, 1), scheduler);
-  cluster.submit(simple_job("probe", 0.0, 2, 1, 5.0));
-  const auto result = cluster.run();
+  EngineSimulation simulation(quiet_config(1, 1), scheduler);
+  simulation.submit(simple_job("probe", 0.0, 2, 1, 5.0));
+  const auto result = simulation.run();
   EXPECT_TRUE(result.completed);
 }
 

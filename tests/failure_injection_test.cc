@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "src/baselines/fifo_scheduler.h"
-#include "src/cluster/cluster.h"
 #include "src/core/rush_scheduler.h"
+#include "src/engine/simulation.h"
 
 namespace rush {
 namespace {
@@ -24,8 +24,21 @@ JobSpec simple_job(const std::string& name, int maps, int reduces, Seconds task_
   return spec;
 }
 
-ClusterConfig failing_config(double p, std::uint64_t seed = 5) {
-  ClusterConfig config;
+/// Work-conserving first fit: each handout goes to the first job in view
+/// order with a dispatchable task left.
+std::vector<JobId> first_dispatchable(const ClusterView& view, int count) {
+  std::vector<JobId> grants;
+  for (const JobView& j : view.jobs) {
+    for (int t = 0; t < j.dispatchable_tasks; ++t) {
+      if (static_cast<int>(grants.size()) == count) return grants;
+      grants.push_back(j.id);
+    }
+  }
+  return grants;
+}
+
+EngineSimulationConfig failing_config(double p, std::uint64_t seed = 5) {
+  EngineSimulationConfig config;
   config.nodes = homogeneous_nodes(1, 4);
   config.runtime_noise_sigma = 0.1;
   config.task_failure_probability = p;
@@ -35,9 +48,9 @@ ClusterConfig failing_config(double p, std::uint64_t seed = 5) {
 
 TEST(FailureInjection, JobsStillCompleteUnderFailures) {
   FifoScheduler scheduler(false);
-  Cluster cluster(failing_config(0.3), scheduler);
-  cluster.submit(simple_job("resilient", 20, 2, 10.0));
-  const auto result = cluster.run();
+  EngineSimulation simulation(failing_config(0.3), scheduler);
+  simulation.submit(simple_job("resilient", 20, 2, 10.0));
+  const auto result = simulation.run();
   EXPECT_TRUE(result.completed);
   EXPECT_GT(result.task_failures, 0);
   EXPECT_NE(result.jobs[0].completion, kNever);
@@ -45,18 +58,18 @@ TEST(FailureInjection, JobsStillCompleteUnderFailures) {
 
 TEST(FailureInjection, ZeroProbabilityMeansZeroFailures) {
   FifoScheduler scheduler(false);
-  Cluster cluster(failing_config(0.0), scheduler);
-  cluster.submit(simple_job("clean", 10, 1, 5.0));
-  const auto result = cluster.run();
+  EngineSimulation simulation(failing_config(0.0), scheduler);
+  simulation.submit(simple_job("clean", 10, 1, 5.0));
+  const auto result = simulation.run();
   EXPECT_EQ(result.task_failures, 0);
 }
 
 TEST(FailureInjection, FailuresDelayCompletion) {
   const auto completion_with = [](double p) {
     FifoScheduler scheduler(false);
-    Cluster cluster(failing_config(p, 11), scheduler);
-    cluster.submit(simple_job("timed", 40, 2, 10.0));
-    return cluster.run().jobs[0].completion;
+    EngineSimulation simulation(failing_config(p, 11), scheduler);
+    simulation.submit(simple_job("timed", 40, 2, 10.0));
+    return simulation.run().jobs[0].completion;
   };
   // Average over the stochastic failure draws by comparing aggressive vs
   // none on the same seed: re-execution strictly adds work.
@@ -67,22 +80,21 @@ TEST(FailureInjection, FailedAttemptsAreNotRuntimeSamples) {
   class SampleCounter final : public Scheduler {
    public:
     std::string name() const override { return "counter"; }
-    std::optional<JobId> assign_container(const ClusterView& view) override {
+    std::vector<JobId> assign_containers(const ClusterView& view, int count) override {
       for (const JobView& j : view.jobs) {
         // Samples must equal completed tasks exactly, never counting
         // failures.
         EXPECT_EQ(static_cast<int>(j.runtime_samples->size()), j.completed_tasks);
-        if (j.dispatchable_tasks > 0) return j.id;
       }
-      return std::nullopt;
+      return first_dispatchable(view, count);
     }
     void on_task_failed(const ClusterView&, JobId, Seconds) override { ++failures_seen; }
     int failures_seen = 0;
   };
   SampleCounter scheduler;
-  Cluster cluster(failing_config(0.3, 13), scheduler);
-  cluster.submit(simple_job("sampled", 30, 1, 8.0));
-  const auto result = cluster.run();
+  EngineSimulation simulation(failing_config(0.3, 13), scheduler);
+  simulation.submit(simple_job("sampled", 30, 1, 8.0));
+  const auto result = simulation.run();
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(scheduler.failures_seen, result.task_failures);
   EXPECT_GT(scheduler.failures_seen, 0);
@@ -92,19 +104,18 @@ TEST(FailureInjection, ViewExposesFailureCounts) {
   class FailureProbe final : public Scheduler {
    public:
     std::string name() const override { return "probe"; }
-    std::optional<JobId> assign_container(const ClusterView& view) override {
+    std::vector<JobId> assign_containers(const ClusterView& view, int count) override {
       for (const JobView& j : view.jobs) {
         max_failures = std::max(max_failures, j.failed_attempts);
-        if (j.dispatchable_tasks > 0) return j.id;
       }
-      return std::nullopt;
+      return first_dispatchable(view, count);
     }
     int max_failures = 0;
   };
   FailureProbe scheduler;
-  Cluster cluster(failing_config(0.4, 17), scheduler);
-  cluster.submit(simple_job("watched", 25, 0, 6.0));
-  cluster.run();
+  EngineSimulation simulation(failing_config(0.4, 17), scheduler);
+  simulation.submit(simple_job("watched", 25, 0, 6.0));
+  simulation.run();
   EXPECT_GT(scheduler.max_failures, 0);
 }
 
@@ -113,10 +124,10 @@ TEST(FailureInjection, RushReplansAndDrainsUnderFailures) {
   config.prior.mean_runtime = 10.0;
   config.prior.stddev_runtime = 4.0;
   RushScheduler scheduler(config);
-  Cluster cluster(failing_config(0.25, 19), scheduler);
-  cluster.submit(simple_job("a", 15, 1, 10.0, 600.0));
-  cluster.submit(simple_job("b", 15, 1, 10.0, 900.0));
-  const auto result = cluster.run();
+  EngineSimulation simulation(failing_config(0.25, 19), scheduler);
+  simulation.submit(simple_job("a", 15, 1, 10.0, 600.0));
+  simulation.submit(simple_job("b", 15, 1, 10.0, 900.0));
+  const auto result = simulation.run();
   EXPECT_TRUE(result.completed);
   EXPECT_GT(result.task_failures, 0);
   for (const auto& job : result.jobs) EXPECT_NE(job.completion, kNever);
@@ -125,9 +136,9 @@ TEST(FailureInjection, RushReplansAndDrainsUnderFailures) {
 TEST(FailureInjection, DeterministicInSeed) {
   const auto run_once = [] {
     FifoScheduler scheduler(false);
-    Cluster cluster(failing_config(0.3, 23), scheduler);
-    cluster.submit(simple_job("det", 20, 1, 10.0));
-    const auto result = cluster.run();
+    EngineSimulation simulation(failing_config(0.3, 23), scheduler);
+    simulation.submit(simple_job("det", 20, 1, 10.0));
+    const auto result = simulation.run();
     return std::make_pair(result.jobs[0].completion, result.task_failures);
   };
   const auto a = run_once();

@@ -4,25 +4,26 @@
 
 #include "src/baselines/fifo_scheduler.h"
 #include "src/common/error.h"
+#include "src/engine/simulation.h"
 
 namespace rush {
 namespace {
 
 TraceRecorder run_traced(int maps, Seconds task_seconds, ContainerCount containers) {
   FifoScheduler scheduler(false);
-  ClusterConfig config;
+  EngineSimulationConfig config;
   config.nodes = homogeneous_nodes(1, containers);
   config.runtime_noise_sigma = 0.0;
-  Cluster cluster(config, scheduler);
+  EngineSimulation simulation(config, scheduler);
   TraceRecorder trace;
-  cluster.set_observer(&trace);
+  simulation.set_observer(&trace);
   JobSpec spec;
   spec.name = "g";
   spec.budget = 1e4;
   spec.utility_kind = "constant";
   for (int m = 0; m < maps; ++m) spec.tasks.push_back({task_seconds, false});
-  cluster.submit(std::move(spec));
-  cluster.run();
+  simulation.submit(std::move(spec));
+  simulation.run();
   return trace;
 }
 

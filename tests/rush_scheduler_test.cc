@@ -3,9 +3,9 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
-#include "src/cluster/cluster.h"
 #include "src/common/error.h"
 #include "src/core/rush_planner.h"
+#include "src/engine/simulation.h"
 
 namespace rush {
 namespace {
@@ -221,8 +221,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PlannerFuzzTest,
 
 // ---------- RushScheduler end-to-end ----------
 
-ClusterConfig quiet_config(ContainerCount containers, double noise = 0.0) {
-  ClusterConfig config;
+EngineSimulationConfig quiet_config(ContainerCount containers, double noise = 0.0) {
+  EngineSimulationConfig config;
   config.nodes = homogeneous_nodes(1, containers);
   config.runtime_noise_sigma = noise;
   config.seed = 3;
@@ -234,11 +234,11 @@ TEST(RushScheduler, DrainsAMixedWorkload) {
   config.prior.mean_runtime = 8.0;
   config.prior.stddev_runtime = 3.0;
   RushScheduler scheduler(config);
-  Cluster cluster(quiet_config(4, 0.2), scheduler);
-  cluster.submit(make_job("a", 0.0, 300.0, 6, 1, 8.0, "sigmoid", 0.1, 3.0));
-  cluster.submit(make_job("b", 5.0, 200.0, 4, 0, 8.0, "linear", 0.05, 2.0));
-  cluster.submit(make_job("c", 10.0, 0.0, 4, 0, 8.0, "constant", 1.0, 1.0));
-  const auto result = cluster.run();
+  EngineSimulation simulation(quiet_config(4, 0.2), scheduler);
+  simulation.submit(make_job("a", 0.0, 300.0, 6, 1, 8.0, "sigmoid", 0.1, 3.0));
+  simulation.submit(make_job("b", 5.0, 200.0, 4, 0, 8.0, "linear", 0.05, 2.0));
+  simulation.submit(make_job("c", 10.0, 0.0, 4, 0, 8.0, "constant", 1.0, 1.0));
+  const auto result = simulation.run();
   EXPECT_TRUE(result.completed);
   for (const auto& job : result.jobs) EXPECT_NE(job.completion, kNever);
   EXPECT_GT(scheduler.plans_computed(), 0);
@@ -251,10 +251,10 @@ TEST(RushScheduler, PrefersTheJobItPlannedFor) {
   config.prior.mean_runtime = 10.0;
   config.prior.stddev_runtime = 2.0;
   RushScheduler scheduler(config);
-  Cluster cluster(quiet_config(1), scheduler);
-  cluster.submit(make_job("urgent", 0.0, 45.0, 3, 0, 10.0, "sigmoid", 0.5, 5.0));
-  cluster.submit(make_job("patient", 0.0, 0.0, 3, 0, 10.0, "constant", 1.0, 5.0));
-  const auto result = cluster.run();
+  EngineSimulation simulation(quiet_config(1), scheduler);
+  simulation.submit(make_job("urgent", 0.0, 45.0, 3, 0, 10.0, "sigmoid", 0.5, 5.0));
+  simulation.submit(make_job("patient", 0.0, 0.0, 3, 0, 10.0, "constant", 1.0, 5.0));
+  const auto result = simulation.run();
   EXPECT_TRUE(result.completed);
   // The urgent job finishes before the patient one.
   EXPECT_LT(result.jobs[0].completion, result.jobs[1].completion);
@@ -263,11 +263,11 @@ TEST(RushScheduler, PrefersTheJobItPlannedFor) {
 TEST(RushScheduler, PlanCacheAvoidsRedundantWork) {
   RushConfig config;
   RushScheduler scheduler(config);
-  Cluster cluster(quiet_config(8), scheduler);
+  EngineSimulation simulation(quiet_config(8), scheduler);
   // One 16-task job: 16 assignments, but task finishes come in bursts of 8
   // at equal times; plans must be far fewer than assignments.
-  cluster.submit(make_job("burst", 0.0, 500.0, 16, 0, 10.0, "sigmoid", 0.05, 2.0));
-  const auto result = cluster.run();
+  simulation.submit(make_job("burst", 0.0, 500.0, 16, 0, 10.0, "sigmoid", 0.05, 2.0));
+  const auto result = simulation.run();
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(result.assignments, 16);
   EXPECT_LT(scheduler.plans_computed(), result.assignments);
@@ -279,11 +279,11 @@ TEST(RushScheduler, PhaseAwareModeDrainsAndPlans) {
   config.prior.mean_runtime = 10.0;
   config.prior.stddev_runtime = 4.0;
   RushScheduler scheduler(config);
-  Cluster cluster(quiet_config(4, 0.2), scheduler);
+  EngineSimulation simulation(quiet_config(4, 0.2), scheduler);
   // Reduce-heavy jobs: the case phase-aware estimation exists for.
-  cluster.submit(make_job("heavy-reduce", 0.0, 600.0, 8, 4, 10.0, "sigmoid", 0.05, 3.0));
-  cluster.submit(make_job("map-only", 20.0, 400.0, 10, 0, 10.0, "linear", 0.02, 2.0));
-  const auto result = cluster.run();
+  simulation.submit(make_job("heavy-reduce", 0.0, 600.0, 8, 4, 10.0, "sigmoid", 0.05, 3.0));
+  simulation.submit(make_job("map-only", 20.0, 400.0, 10, 0, 10.0, "linear", 0.02, 2.0));
+  const auto result = simulation.run();
   EXPECT_TRUE(result.completed);
   EXPECT_GT(scheduler.plans_computed(), 0);
   for (const auto& job : result.jobs) EXPECT_NE(job.completion, kNever);
@@ -292,9 +292,9 @@ TEST(RushScheduler, PhaseAwareModeDrainsAndPlans) {
 TEST(RushScheduler, ExposesProjectedCompletions) {
   RushConfig config;
   RushScheduler scheduler(config);
-  Cluster cluster(quiet_config(2), scheduler);
-  cluster.submit(make_job("watched", 0.0, 300.0, 4, 0, 10.0, "sigmoid", 0.1, 2.0));
-  cluster.run();
+  EngineSimulation simulation(quiet_config(2), scheduler);
+  simulation.submit(make_job("watched", 0.0, 300.0, 4, 0, 10.0, "sigmoid", 0.1, 2.0));
+  simulation.run();
   // After the run, the last computed plan still carries the job's entry
   // from some intermediate event with a finite projected completion.
   const Plan& plan = scheduler.current_plan();

@@ -6,6 +6,7 @@
 
 #include "src/baselines/fifo_scheduler.h"
 #include "src/common/error.h"
+#include "src/engine/simulation.h"
 
 namespace rush {
 namespace {
@@ -25,14 +26,14 @@ JobSpec simple_job(const std::string& name, Seconds arrival, int maps, int reduc
 
 TEST(Trace, RecordsTheFullLifecycle) {
   FifoScheduler scheduler(false);
-  ClusterConfig config;
+  EngineSimulationConfig config;
   config.nodes = homogeneous_nodes(1, 2);
   config.runtime_noise_sigma = 0.0;
-  Cluster cluster(config, scheduler);
+  EngineSimulation simulation(config, scheduler);
   TraceRecorder trace;
-  cluster.set_observer(&trace);
-  cluster.submit(simple_job("traced", 5.0, 4, 1, 10.0));
-  const auto result = cluster.run();
+  simulation.set_observer(&trace);
+  simulation.submit(simple_job("traced", 5.0, 4, 1, 10.0));
+  const auto result = simulation.run();
   ASSERT_TRUE(result.completed);
 
   EXPECT_EQ(trace.count(TraceKind::kJobArrival), 1u);
@@ -47,16 +48,16 @@ TEST(Trace, RecordsTheFullLifecycle) {
 
 TEST(Trace, EventsAreTimeOrdered) {
   FifoScheduler scheduler(false);
-  ClusterConfig config;
+  EngineSimulationConfig config;
   config.nodes = homogeneous_nodes(1, 3);
   config.runtime_noise_sigma = 0.3;
   config.seed = 4;
-  Cluster cluster(config, scheduler);
+  EngineSimulation simulation(config, scheduler);
   TraceRecorder trace;
-  cluster.set_observer(&trace);
-  cluster.submit(simple_job("a", 0.0, 6, 1, 8.0));
-  cluster.submit(simple_job("b", 10.0, 4, 0, 8.0));
-  cluster.run();
+  simulation.set_observer(&trace);
+  simulation.submit(simple_job("a", 0.0, 6, 1, 8.0));
+  simulation.submit(simple_job("b", 10.0, 4, 0, 8.0));
+  simulation.run();
   Seconds prev = 0.0;
   for (const TraceEvent& e : trace.events()) {
     EXPECT_GE(e.time, prev);
@@ -67,15 +68,15 @@ TEST(Trace, EventsAreTimeOrdered) {
 
 TEST(Trace, CapturesFailures) {
   FifoScheduler scheduler(false);
-  ClusterConfig config;
+  EngineSimulationConfig config;
   config.nodes = homogeneous_nodes(1, 2);
   config.task_failure_probability = 0.3;
   config.seed = 9;
-  Cluster cluster(config, scheduler);
+  EngineSimulation simulation(config, scheduler);
   TraceRecorder trace;
-  cluster.set_observer(&trace);
-  cluster.submit(simple_job("flaky", 0.0, 20, 1, 5.0));
-  const auto result = cluster.run();
+  simulation.set_observer(&trace);
+  simulation.submit(simple_job("flaky", 0.0, 20, 1, 5.0));
+  const auto result = simulation.run();
   EXPECT_EQ(trace.count(TraceKind::kTaskFailure),
             static_cast<std::size_t>(result.task_failures));
   EXPECT_GT(trace.wasted_seconds(), 0.0);
@@ -86,14 +87,14 @@ TEST(Trace, CapturesFailures) {
 
 TEST(Trace, UtilizationIsAFraction) {
   FifoScheduler scheduler(false);
-  ClusterConfig config;
+  EngineSimulationConfig config;
   config.nodes = homogeneous_nodes(1, 4);
   config.runtime_noise_sigma = 0.1;
-  Cluster cluster(config, scheduler);
+  EngineSimulation simulation(config, scheduler);
   TraceRecorder trace;
-  cluster.set_observer(&trace);
-  cluster.submit(simple_job("u", 0.0, 12, 2, 10.0));
-  cluster.run();
+  simulation.set_observer(&trace);
+  simulation.submit(simple_job("u", 0.0, 12, 2, 10.0));
+  simulation.run();
   const double u = trace.utilization(4);
   EXPECT_GT(u, 0.0);
   EXPECT_LE(u, 1.0 + 1e-9);
@@ -112,15 +113,15 @@ class CapacityInvariantTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CapacityInvariantTest, ConcurrencyNeverExceedsCapacity) {
   FifoScheduler scheduler(false);
-  ClusterConfig config;
+  EngineSimulationConfig config;
   config.nodes = {{3, 1.0}, {2, 2.0}};  // capacity 5
   config.runtime_noise_sigma = 0.3;
   config.task_failure_probability = 0.15;
-  config.enable_speculation = true;
+  config.speculation.enabled = true;
   config.seed = GetParam();
-  Cluster cluster(config, scheduler);
+  EngineSimulation simulation(config, scheduler);
   TraceRecorder trace;
-  cluster.set_observer(&trace);
+  simulation.set_observer(&trace);
   Rng rng(GetParam());
   for (int j = 0; j < 6; ++j) {
     JobSpec spec;
@@ -134,9 +135,9 @@ TEST_P(CapacityInvariantTest, ConcurrencyNeverExceedsCapacity) {
       spec.tasks.push_back({rng.uniform(4.0, 20.0), false});
     }
     spec.tasks.push_back({rng.uniform(4.0, 20.0), true});
-    cluster.submit(std::move(spec));
+    simulation.submit(std::move(spec));
   }
-  const auto result = cluster.run();
+  const auto result = simulation.run();
   EXPECT_TRUE(result.completed);
 
   // Replay: starts increment, finishes/failures decrement.  Kills free the
@@ -172,14 +173,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CapacityInvariantTest,
 
 TEST(Trace, WritesCsv) {
   FifoScheduler scheduler(false);
-  ClusterConfig config;
+  EngineSimulationConfig config;
   config.nodes = homogeneous_nodes(1, 1);
   config.runtime_noise_sigma = 0.0;
-  Cluster cluster(config, scheduler);
+  EngineSimulation simulation(config, scheduler);
   TraceRecorder trace;
-  cluster.set_observer(&trace);
-  cluster.submit(simple_job("csv", 0.0, 2, 0, 3.0));
-  cluster.run();
+  simulation.set_observer(&trace);
+  simulation.submit(simple_job("csv", 0.0, 2, 0, 3.0));
+  simulation.run();
 
   const std::string path = "/tmp/rush_trace_test.csv";
   trace.write_csv(path);

@@ -1676,8 +1676,8 @@ int module_rank(const std::string& module) {
       {"cluster", 3},
       {"metrics", 4}, {"baselines", 4}, {"workload", 4}, {"core", 4},
       {"state", 4},
-      {"experiments", 5}, {"engine", 5},
-      {"daemon", 6}};
+      {"engine", 5},
+      {"experiments", 6}, {"daemon", 6}};
   const auto it = kRank.find(module);
   return it == kRank.end() ? -1 : it->second;
 }
