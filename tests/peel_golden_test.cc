@@ -17,6 +17,12 @@
 // 1 and 4, and planner configs with and without warm start, replay, the
 // WCDE cache and the batched WCDE stage.
 //
+// The edge cases pin the jobs whose deadline does not move with the probed
+// level: half-constant and all-constant sets (priority 0 included), exact
+// (deadline, eta) ties between constant jobs and sigmoids clamped at an
+// explicit horizon, an explicit horizon no constant job can meet, a replay
+// certificate over exactly the moving jobs, and the pooled k-section path.
+//
 // The frozen values were recorded with the full stable-sort peel that the
 // merge repair replaced.  A mismatch means the plan changed; the failure
 // message prints the new digest.  Only refreeze after proving the change intended.  The digests
@@ -32,7 +38,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/error.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/core/rush_planner.h"
 #include "src/tas/onion_peeling.h"
 #include "src/utility/utility_function.h"
@@ -116,6 +124,18 @@ enum class Shape {
   /// Constant and step utilities mixed with decaying ones, plus zero-demand
   /// jobs: deadlines pinned at the horizon or a budget.
   kConstantTails,
+  /// About half ConstantUtility jobs (some at priority 0, some sharing a
+  /// priority), the rest sigmoid, linear, step and far-budget sigmoids whose
+  /// deadline sits at the horizon at every level.
+  kHalfConstant,
+  /// Every job ConstantUtility, including priority 0 and shared priorities.
+  kAllConstant,
+  /// Constant jobs, far-budget sigmoids (deadline at the horizon at every
+  /// level) and near-horizon sigmoids and linears (at the horizon only at
+  /// low levels) drawing from two runtimes and two etas, so exact (deadline,
+  /// eta) ties join jobs whose deadline moves with the level to jobs whose
+  /// deadline does not.  Needs an explicit horizon.
+  kClampedTies,
 };
 
 /// A TAS instance that owns its utility curves.
@@ -124,7 +144,9 @@ struct Instance {
   std::vector<TasJob> jobs;
 };
 
-Instance make_instance(Shape shape, int count, Seconds now, Rng& rng) {
+/// `horizon` is the explicit horizon the instance is peeled with (0 when the
+/// peel picks it); only kClampedTies places budgets relative to it.
+Instance make_instance(Shape shape, int count, Seconds now, Seconds horizon, Rng& rng) {
   Instance inst;
   for (int i = 0; i < count; ++i) {
     TasJob job;
@@ -169,6 +191,58 @@ Instance make_instance(Shape shape, int count, Seconds now, Rng& rng) {
         job.avg_task_runtime = rng.uniform(1.0, 40.0);
         break;
       }
+      case Shape::kHalfConstant: {
+        const int kind = static_cast<int>(rng.uniform_int(0, 9));
+        const Seconds budget = now + rng.uniform(40.0, 600.0);
+        if (kind <= 3) {
+          inst.utilities.push_back(std::make_unique<ConstantUtility>(rng.uniform(0.2, 4.0)));
+        } else if (kind == 4) {
+          const double shared[] = {0.0, 1.0, 2.5};
+          inst.utilities.push_back(
+              std::make_unique<ConstantUtility>(shared[rng.uniform_int(0, 2)]));
+        } else if (kind <= 6) {
+          inst.utilities.push_back(std::make_unique<SigmoidUtility>(
+              budget, rng.uniform(1.0, 5.0), rng.uniform(0.01, 0.4)));
+        } else if (kind == 7) {
+          inst.utilities.push_back(std::make_unique<LinearUtility>(
+              budget, rng.uniform(1.0, 5.0), rng.uniform(0.005, 0.2)));
+        } else if (kind == 8) {
+          inst.utilities.push_back(std::make_unique<StepUtility>(budget, rng.uniform(1.0, 4.0)));
+        } else {
+          inst.utilities.push_back(
+              std::make_unique<SigmoidUtility>(now + 1e7, rng.uniform(1.0, 5.0), 1.0));
+        }
+        job.eta = rng.uniform_int(0, 11) == 0 ? 0.0 : rng.uniform(10.0, 1500.0);
+        job.avg_task_runtime = rng.uniform(1.0, 40.0);
+        break;
+      }
+      case Shape::kAllConstant: {
+        const int kind = static_cast<int>(rng.uniform_int(0, 7));
+        const Priority priority = kind == 0 ? 0.0 : kind <= 2 ? 1.0 : rng.uniform(0.1, 4.0);
+        inst.utilities.push_back(std::make_unique<ConstantUtility>(priority));
+        job.eta = rng.uniform_int(0, 9) == 0 ? 0.0 : rng.uniform(10.0, 1500.0);
+        job.avg_task_runtime = rng.uniform(1.0, 40.0);
+        break;
+      }
+      case Shape::kClampedTies: {
+        const int kind = static_cast<int>(rng.uniform_int(0, 3));
+        const Priority priority = rng.uniform(0.5, 3.0);
+        if (kind == 0) {
+          inst.utilities.push_back(std::make_unique<ConstantUtility>(priority));
+        } else if (kind == 1) {
+          inst.utilities.push_back(
+              std::make_unique<SigmoidUtility>(horizon + 1e7, priority, 1.0));
+        } else if (kind == 2) {
+          inst.utilities.push_back(std::make_unique<SigmoidUtility>(
+              horizon - rng.uniform(0.0, 120.0), priority, 0.05));
+        } else {
+          inst.utilities.push_back(std::make_unique<LinearUtility>(
+              horizon - rng.uniform(0.0, 120.0), priority, 0.01));
+        }
+        job.eta = rng.uniform_int(0, 1) == 0 ? 200.0 : 400.0;
+        job.avg_task_runtime = rng.uniform_int(0, 1) == 0 ? 5.0 : 30.0;
+        break;
+      }
     }
     job.utility = inst.utilities.back().get();
     inst.jobs.push_back(job);
@@ -198,13 +272,31 @@ struct PeelDigests {
   std::uint64_t replay = 0;
 };
 
-PeelDigests run_peel_case(const PeelCase& c) {
+/// What one peel scenario varies.
+struct PeelSetup {
+  const char* name;
+  Shape shape;
+  int jobs;
+  ContainerCount capacity;
+  int section_probes;
+  std::uint64_t seed;
+  /// Explicit horizon in seconds after the first peel's `now`; 0 lets the
+  /// peel choose it.
+  Seconds horizon_after;
+  /// Pool for the k-section rounds (nullptr = serial).
+  ThreadPool* pool;
+};
+
+PeelDigests run_peel(const PeelSetup& c) {
   Rng rng(c.seed);
   const Seconds t0 = rng.uniform(0.0, 100.0);
-  Instance inst = make_instance(c.shape, c.jobs, t0, rng);
+  const Seconds horizon = c.horizon_after > 0.0 ? t0 + c.horizon_after : 0.0;
+  Instance inst = make_instance(c.shape, c.jobs, t0, horizon, rng);
 
   OnionPeelingConfig config;
   config.section_probes = c.section_probes;
+  config.horizon = horizon;
+  config.pool = c.pool;
   PeelDigests out;
   const TasResult first = onion_peel(inst.jobs, c.capacity, t0, config);
   Digest d0;
@@ -256,6 +348,10 @@ PeelDigests run_peel_case(const PeelCase& c) {
   return out;
 }
 
+PeelDigests run_peel_case(const PeelCase& c) {
+  return run_peel({c.name, c.shape, c.jobs, c.capacity, c.section_probes, c.seed, 0.0, nullptr});
+}
+
 const PeelCase kPeelCases[] = {
     // name, shape, jobs, capacity, k, seed, cold, drifted, warm, replay
     {"single-k4", Shape::kCrossingSigmoids, 1, 4, 4, 11,
@@ -304,6 +400,131 @@ TEST(PeelGolden, OnionPeelDigestsAreFrozen) {
     EXPECT_EQ(got.warm, c.warm) << c.name << " warm: now " << hex(got.warm);
     EXPECT_EQ(got.replay, c.replay) << c.name << " replay: now " << hex(got.replay);
   }
+}
+
+// ---------------------------------------------------------------------------
+// onion_peel edge cases: constant deadlines, explicit horizons, the pool
+// ---------------------------------------------------------------------------
+
+struct EdgePeelCase {
+  const char* name;
+  Shape shape;
+  int jobs;
+  ContainerCount capacity;
+  int section_probes;
+  std::uint64_t seed;
+  /// Explicit horizon after the first peel's `now` (0 = automatic).
+  Seconds horizon_after;
+  std::uint64_t cold;
+  std::uint64_t drifted;
+  std::uint64_t warm;
+  std::uint64_t replay;
+};
+
+const EdgePeelCase kEdgePeelCases[] = {
+    // name, shape, jobs, capacity, k, seed, horizon after t0,
+    // cold, drifted, warm, replay
+    {"half-constant-200-k4", Shape::kHalfConstant, 200, 48, 4, 61, 0.0,
+     0x24d0f84322b606ab, 0xdaca05816a6c983b,
+     0x4a1a1dfe28648f26, 0x8a7088b95e981509},
+    {"half-constant-200-k1", Shape::kHalfConstant, 200, 48, 1, 62, 0.0,
+     0xbbce9bb5db7c26fc, 0x52cbacee15c63dcc,
+     0x36390048a5fbd82a, 0x253cfc9e9cb487c7},
+    {"half-constant-60-k4-horizon", Shape::kHalfConstant, 60, 24, 4, 63, 9000.0,
+     0x3ba1d3d704d23e95, 0x119ff6bd33b70e3e,
+     0xda1446966ffc3c72, 0xf9140ac4db71b6ca},
+    {"all-constant-50-k4", Shape::kAllConstant, 50, 16, 4, 64, 0.0,
+     0xfab438598bd1f10e, 0x5742b9d37678333b,
+     0x1c05747ee42f38db, 0xeccf5f8b9a8ab3c3},
+    {"all-constant-120-k1", Shape::kAllConstant, 120, 32, 1, 65, 0.0,
+     0xc08100bd7fbb35ab, 0xe72ed817cca68e2a,
+     0xf5a46f7877019e94, 0x699d38a17d339c55},
+    {"all-constant-1-k4", Shape::kAllConstant, 1, 4, 4, 66, 0.0,
+     0x8ce1db78af56c5e9, 0xe0b1e09d4255d149,
+     0xa352a0d21248b934, 0xa352a0d21248b934},
+    {"clamped-ties-60-k4", Shape::kClampedTies, 60, 16, 4, 67, 3000.0,
+     0x18086a3991391301, 0x111529b0832eb349,
+     0x4bf154691ed41486, 0x897daf87268b72e8},
+    {"clamped-ties-200-k1", Shape::kClampedTies, 200, 48, 1, 68, 3000.0,
+     0x27878badfb85b21e, 0x113df9a6a2f1a33e,
+     0xe6218ed41ca3be58, 0x4c00a88646079049},
+};
+
+TEST(PeelGolden, EdgeCaseDigestsAreFrozen) {
+  // Every k > 1 case also runs its k-section rounds on a pool, which must
+  // not change one bit (probe counters included).
+  ThreadPool pool(3);
+  for (const EdgePeelCase& c : kEdgePeelCases) {
+    for (ThreadPool* lanes : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      if (lanes != nullptr && c.section_probes == 1) continue;
+      const PeelDigests got = run_peel({c.name, c.shape, c.jobs, c.capacity, c.section_probes,
+                                        c.seed, c.horizon_after, lanes});
+      const std::string label = std::string(c.name) + (lanes != nullptr ? " pooled" : "");
+      EXPECT_EQ(got.cold, c.cold) << label << " cold: now " << hex(got.cold);
+      EXPECT_EQ(got.drifted, c.drifted) << label << " drifted: now " << hex(got.drifted);
+      EXPECT_EQ(got.warm, c.warm) << label << " warm: now " << hex(got.warm);
+      EXPECT_EQ(got.replay, c.replay) << label << " replay: now " << hex(got.replay);
+    }
+  }
+}
+
+TEST(PeelGolden, ExplicitHorizonShorterThanAConstantJobsRuntimeThrows) {
+  // horizon - R_i < now: the constant job reaches no level at all, so even
+  // the zero level is infeasible and the peel refuses the horizon.
+  const Seconds now = 40.0;
+  ConstantUtility constant(2.0);
+  SigmoidUtility sigmoid(now + 100.0, 3.0, 0.1);
+  std::vector<TasJob> jobs(2);
+  jobs[0] = {1, 50.0, 5.0, &sigmoid};
+  jobs[1] = {2, 50.0, 45.0, &constant};
+  OnionPeelingConfig config;
+  config.horizon = now + 30.0;
+  EXPECT_THROW(onion_peel(jobs, 8, now, config), InternalError);
+  // Without the long-running job the same horizon is fine.
+  jobs.pop_back();
+  EXPECT_EQ(onion_peel(jobs, 8, now, config).targets.size(), 1u);
+}
+
+TEST(PeelGolden, ReplayCertificateOverTheMovingJobs) {
+  // Low-priority constant jobs fill the first layers; every sigmoid moves,
+  // so the replayed prefix is exactly the constant jobs and the replay
+  // certificate probes a reduced set holding exactly the sigmoids.
+  Rng rng(71);
+  const Seconds t0 = 25.0;
+  std::vector<std::unique_ptr<UtilityFunction>> utilities;
+  std::vector<TasJob> jobs;
+  std::vector<JobId> moved;
+  for (int i = 0; i < 24; ++i) {
+    const bool constant = i % 3 == 0;
+    if (constant) {
+      utilities.push_back(std::make_unique<ConstantUtility>(rng.uniform(0.01, 0.05)));
+    } else {
+      utilities.push_back(std::make_unique<SigmoidUtility>(
+          t0 + rng.uniform(60.0, 600.0), rng.uniform(1.0, 5.0), rng.uniform(0.01, 0.3)));
+      moved.push_back(i + 1);
+    }
+    jobs.push_back({i + 1, rng.uniform(50.0, 800.0), rng.uniform(2.0, 30.0),
+                    utilities.back().get()});
+  }
+  OnionPeelingConfig config;
+  const TasResult first = onion_peel(jobs, 12, t0, config);
+  for (TasJob& job : jobs) job.eta *= 0.99;
+
+  const Seconds t1 = t0 + 3.0;
+  PeelReplay replay;
+  replay.targets = &first.targets;
+  replay.moved = &moved;
+  replay.tolerance = 0.05;
+  Digest d;
+  for (const bool hinted : {false, true}) {
+    OnionPeelingConfig replayed = config;
+    replayed.replay = &replay;
+    if (hinted) replayed.warm_hint = &first.hint;
+    const TasResult r = onion_peel(jobs, 12, t1, replayed);
+    EXPECT_EQ(r.replayed_layers, 8) << "hinted " << hinted;
+    add_tas(d, r);
+  }
+  EXPECT_EQ(d.get(), 0xe232ed7cb7e1eb4eULL) << "now " << hex(d.get());
 }
 
 // ---------------------------------------------------------------------------
