@@ -485,6 +485,35 @@ TEST(PeelGolden, ExplicitHorizonShorterThanAConstantJobsRuntimeThrows) {
   EXPECT_EQ(onion_peel(jobs, 8, now, config).targets.size(), 1u);
 }
 
+TEST(PeelGolden, TiedDeadlinesAddLoadInDeadlineEtaOrder) {
+  // At level 0 every job's deadline is horizon - R = 1e16, where the spacing
+  // of doubles is 2: 1e16 + 1 rounds back to 1e16, while 1 + 1 + 1e16 is
+  // exactly 1e16 + 2.  So the zero level fits capacity 1 exactly when the
+  // large eta is added first, and only the (deadline, eta) order — small
+  // etas first, whichever jobs carry them — makes it overflow by 2.  The
+  // constant jobs keep their deadline at every level and the sigmoids do
+  // not, so this pins the tie order between the two kinds in both
+  // directions.
+  const Seconds now = 0.0;
+  const Seconds horizon = 1e16 + 2.0;
+  ConstantUtility constant(1.0);
+  SigmoidUtility sigmoid(horizon - 10.0, 1.0, 0.5);
+  const auto peel_with = [&](const UtilityFunction& small, const UtilityFunction& large,
+                             Seconds extra_horizon) {
+    std::vector<TasJob> jobs = {{1, 1.0, 2.0, &small},
+                                {2, 1e16, 2.0, &large},
+                                {3, 1.0, 2.0, &small}};
+    OnionPeelingConfig config;
+    config.horizon = horizon + extra_horizon;
+    return onion_peel(jobs, 1, now, config);
+  };
+  EXPECT_THROW(peel_with(constant, sigmoid, 0.0), InternalError);
+  EXPECT_THROW(peel_with(sigmoid, constant, 0.0), InternalError);
+  // Two more seconds of horizon make room for the exact sum.
+  EXPECT_EQ(peel_with(constant, sigmoid, 2.0).targets.size(), 3u);
+  EXPECT_EQ(peel_with(sigmoid, constant, 2.0).targets.size(), 3u);
+}
+
 TEST(PeelGolden, ReplayCertificateOverTheMovingJobs) {
   // Low-priority constant jobs fill the first layers; every sigmoid moves,
   // so the replayed prefix is exactly the constant jobs and the replay
