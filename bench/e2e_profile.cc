@@ -3,9 +3,11 @@
 // that motivates it: a full Experiment, where nearly every task-completion
 // event dirties the plan and the scheduler replans from scratch.
 //
-// Two identical experiments run back to back: cold (warm_start_peeling off,
-// the bit-exact reference path) and warm (each onion-peel layer seeded by
-// the previous pass's level).  The per-stage PlanStats profiler
+// Three identical experiments run back to back: cold (warm_start_peeling
+// off, the bit-exact reference path), warm (the default: each onion-peel
+// layer seeded by the previous pass's level), and warm-scalar (warm with the
+// WCDE cache, identity memo and batched kernel off, so every pass solves
+// every job's WCDE with the scalar solver).  The per-stage PlanStats profiler
 // (WCDE / peel / mapping microseconds, peel probes, warm-layer and WCDE
 // cache counters) is reduced to per-pass figures and written to
 // out/e2e_profile.csv plus BENCH_e2e.json — the first point of the repo's
@@ -14,8 +16,10 @@
 // columns are not.
 //
 // Exit status: non-zero when warm-start probes per pass exceed cold probes
-// per pass (the warm path must never do more search work), or when the
-// ratio falls below $RUSH_E2E_MIN_PROBE_RATIO when that gate is set.
+// per pass (the warm path must never do more search work), when the ratio
+// falls below $RUSH_E2E_MIN_PROBE_RATIO, or when the warm-scalar / warm WCDE
+// microseconds per pass fall below $RUSH_E2E_MIN_WCDE_SPEEDUP (gates unset
+// = off).  Both gates are ratios within one run, so they hold across hosts.
 // Scale knobs: $RUSH_E2E_JOBS (default 32), $RUSH_E2E_SEED (default 4242),
 // $RUSH_BENCH_JSON (default BENCH_e2e.json in the working directory).
 
@@ -42,7 +46,10 @@ struct ModeResult {
   double mean_utility = 0.0;
 };
 
-ModeResult run_mode(bool warm, int jobs, std::uint64_t seed) {
+/// `scalar_wcde` turns off the WCDE cache (and with it the identity memo)
+/// and the batched kernel: the per-pass WCDE reference the production stage
+/// is measured against.
+ModeResult run_mode(bool warm, bool scalar_wcde, int jobs, std::uint64_t seed) {
   ExperimentConfig config;
   config.num_jobs = jobs;
   config.mean_interarrival = 90.0;
@@ -53,6 +60,8 @@ ModeResult run_mode(bool warm, int jobs, std::uint64_t seed) {
   config.seed = seed;
   config.nodes = homogeneous_nodes(2, 6);  // 12 containers
   config.rush.warm_start_peeling = warm;
+  config.rush.wcde_cache = !scalar_wcde;
+  config.rush.wcde_batch = !scalar_wcde;
 
   ModeResult mode;
   const auto start = std::chrono::steady_clock::now();
@@ -60,8 +69,8 @@ ModeResult run_mode(bool warm, int jobs, std::uint64_t seed) {
   const auto stop = std::chrono::steady_clock::now();
   mode.wall_ms = std::chrono::duration<double, std::milli>(stop - start).count();
   if (!mode.run.completed) {
-    std::fprintf(stderr, "e2e_profile: %s run did not drain all jobs\n",
-                 warm ? "warm" : "cold");
+    std::fprintf(stderr, "e2e_profile: %s%s run did not drain all jobs\n",
+                 warm ? "warm" : "cold", scalar_wcde ? "-scalar" : "");
     std::exit(2);
   }
   mode.overhead = summarize_plan_overhead(mode.run);
@@ -87,10 +96,11 @@ int main() {
   const int jobs = static_cast<int>(rush::env_or("RUSH_E2E_JOBS", 32.0));
   const auto seed = static_cast<std::uint64_t>(rush::env_or("RUSH_E2E_SEED", 4242.0));
   const double min_ratio = rush::env_or("RUSH_E2E_MIN_PROBE_RATIO", 0.0);
-  const double max_wcde_us = rush::env_or("RUSH_E2E_MAX_WCDE_US", 0.0);
+  const double min_wcde_speedup = rush::env_or("RUSH_E2E_MIN_WCDE_SPEEDUP", 0.0);
 
-  const ModeResult cold = rush::run_mode(false, jobs, seed);
-  const ModeResult warm = rush::run_mode(true, jobs, seed);
+  const ModeResult cold = rush::run_mode(false, false, jobs, seed);
+  const ModeResult warm = rush::run_mode(true, false, jobs, seed);
+  const ModeResult scalar = rush::run_mode(true, true, jobs, seed);
 
   const std::string csv_path = rush::output_path("e2e_profile.csv");
   rush::CsvWriter csv(csv_path,
@@ -120,6 +130,7 @@ int main() {
   };
   emit("cold", cold);
   emit("warm", warm);
+  emit("warm-scalar", scalar);
   table.print(std::cout);
 
   const double cold_probes = cold.overhead.probes_per_pass;
@@ -127,6 +138,10 @@ int main() {
   const double ratio = warm_probes > 0.0 ? cold_probes / warm_probes : 0.0;
   std::printf("\npeel probes per pass: cold %.2f, warm %.2f -> %.2fx fewer\n",
               cold_probes, warm_probes, ratio);
+  const double wcde_speedup =
+      warm.overhead.wcde_us > 0.0 ? scalar.overhead.wcde_us / warm.overhead.wcde_us : 0.0;
+  std::printf("WCDE us per pass: warm-scalar %.2f, warm %.2f -> %.2fx\n",
+              scalar.overhead.wcde_us, warm.overhead.wcde_us, wcde_speedup);
   std::printf("wrote %s\n", csv_path.c_str());
 
   const char* json_env = std::getenv("RUSH_BENCH_JSON");
@@ -160,7 +175,10 @@ int main() {
     mode_json("cold", cold);
     json << ",\n";
     mode_json("warm", warm);
-    json << ",\n  \"probe_ratio\": " << ratio << "\n}\n";
+    json << ",\n";
+    mode_json("warm_scalar", scalar);
+    json << ",\n  \"probe_ratio\": " << ratio
+         << ",\n  \"wcde_speedup\": " << wcde_speedup << "\n}\n";
   }
   std::printf("wrote %s\n", json_path.c_str());
 
@@ -176,14 +194,13 @@ int main() {
                  ratio, min_ratio);
     return 1;
   }
-  // Perf-smoke gate on the batched WCDE stage (DESIGN.md §5i): the warm
-  // pass's per-pass WCDE microseconds must stay under the budget.  Warm, not
-  // cold, because the steady-state feedback cycle is what the paper's Fig 5
-  // overhead story measures.
-  if (max_wcde_us > 0.0 && warm.overhead.wcde_us > max_wcde_us) {
+  // Perf-smoke gate on the production WCDE stage (cache, identity memo and
+  // batched kernel, DESIGN.md §5i): it must stay this many times faster per
+  // pass than the scalar stage measured in the same run, on the same host.
+  if (min_wcde_speedup > 0.0 && wcde_speedup < min_wcde_speedup) {
     std::fprintf(stderr,
-                 "e2e_profile: FAIL — warm WCDE %.2f us/pass above budget %.2f\n",
-                 warm.overhead.wcde_us, max_wcde_us);
+                 "e2e_profile: FAIL — WCDE speedup %.2fx below required %.2fx\n",
+                 wcde_speedup, min_wcde_speedup);
     return 1;
   }
   return 0;

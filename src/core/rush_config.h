@@ -45,9 +45,11 @@ struct RushConfig {
   /// replays the cold k-section grid exactly, answering most grid levels by
   /// monotonicity — so warm plans are bit-identical to cold plans (levels,
   /// deadlines, bottlenecks) at several times fewer probes.  Only the probe
-  /// counters (Plan::peel_probes, PlanStats) differ.  Off by default, which
-  /// keeps the cold probe schedule those counters are pinned to.
-  bool warm_start_peeling = false;
+  /// counters (Plan::peel_probes, PlanStats) differ, and they depend on the
+  /// planner's pass history: a fresh planner's first pass is cold.  Off =
+  /// the cold k-section on every pass, the reference the warm path is
+  /// checked against (tests/peel_warm_start_test.cc, bench/e2e_profile).
+  bool warm_start_peeling = true;
 
   /// Shrink deadlines by R_i so the Theorem 3 stretch stays within target.
   bool compensate_runtime = true;

@@ -72,8 +72,9 @@ std::optional<JobId> SchedulerEngine::handle_job_submitted(const EngineEvent& ev
     view_dirty_.resize(slot + 1, 0);
     view_.id_to_index.resize(slot + 1, -1);
   }
-  require(jobs_[slot] == nullptr,
-          "SchedulerEngine: duplicate submission of job " + std::to_string(id));
+  if (jobs_[slot] != nullptr) {
+    throw InvalidInput("SchedulerEngine: duplicate submission of job " + std::to_string(id));
+  }
 
   const JobConfig& config = event.job;
   config.validate();

@@ -33,7 +33,7 @@ void EventLogWriter::append(const EngineEvent& event) {
   append_record(record, event);
   out_.write(record.buffer().data(), static_cast<std::streamsize>(record.buffer().size()));
   out_.flush();
-  require(out_.good(), "EventLogWriter: write to " + path_ + " failed");
+  if (!out_.good()) throw InvalidInput("EventLogWriter: write to " + path_ + " failed");
   ++records_;
 }
 

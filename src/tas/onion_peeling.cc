@@ -18,47 +18,75 @@ constexpr Seconds kNoViolation = std::numeric_limits<Seconds>::infinity();
 constexpr double kEdfSlack = 1e-9;
 constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
 
-/// Jobs fixed in earlier layers, kept sorted by deadline with prefix demand
-/// sums (the paper's G_t reservation step function in cumulative form), so
-/// a probe only sorts the *active* deadlines and merges against this —
-/// instead of re-sorting the whole union on every probe.  One struct vector:
-/// an insert shifts each tail element once and rebuilds its prefix in the
-/// same walk (the split deadline/eta/prefix arrays paid three shifts plus a
-/// separate prefix pass per peel).
-class PeeledSet {
- public:
-  void insert(Seconds deadline, ContainerSeconds eta) {
-    const auto it = std::upper_bound(
-        items_.begin(), items_.end(), deadline,
-        [](Seconds d, const Item& item) { return d < item.deadline; });
-    const auto pos = static_cast<std::size_t>(it - items_.begin());
-    items_.insert(it, Item{deadline, eta, 0.0});
-    double run = pos == 0 ? 0.0 : items_[pos - 1].prefix;
-    for (std::size_t i = pos; i < items_.size(); ++i) {
-      run += items_[i].eta;
-      items_[i].prefix = run;
-    }
-  }
-  std::size_t size() const { return items_.size(); }
-  Seconds deadline(std::size_t i) const { return items_[i].deadline; }
-  /// Total demand of peeled jobs with deadline <= deadline(i).
-  double prefix(std::size_t i) const { return items_[i].prefix; }
-
- private:
-  struct Item {
-    Seconds deadline;
-    ContainerSeconds eta;
-    double prefix;
-  };
-  std::vector<Item> items_;
-};
-
-/// (deadline, demand) pairs of the active jobs at some probed level.  The
-/// pair's lexicographic operator< is the EDF sort key.
+/// (deadline, demand) pairs of the moving active jobs at some probed level.
+/// The pair's lexicographic operator< is the EDF sort key.
 using DeadlineDemand = std::vector<std::pair<Seconds, ContainerSeconds>>;
 
+/// The EDF constraints that no probe moves, in one deadline-sorted vector:
+/// the active jobs whose deadline is the same at every level a probe can ask
+/// for (ConstantUtility jobs, curves clamped at the horizon) and the jobs
+/// fixed in earlier layers (the paper's G_t reservation step function).  A
+/// probe merges only its moving jobs' sorted pairs into this, so it inverts,
+/// sorts and repairs the order of the moving jobs alone.
+///
+/// Order: by deadline; within a deadline, the fixed active entries by eta,
+/// then the peeled entries in the order they were peeled.  The active
+/// entries' (deadline, eta) order lets a probe add load in exactly the
+/// order a sort of all active jobs would; the peeled prefix is a left fold
+/// over the peeled entries in this order, so neither sum depends on which
+/// jobs are moving (tests/peel_golden_test.cc pins both).
+class EdfTimeline {
+ public:
+  struct Entry {
+    Seconds deadline;
+    ContainerSeconds eta;
+    /// Demand this entry adds to the active load: eta for an active job,
+    /// 0 for a peeled one (x + 0.0 == x for the non-negative loads).
+    ContainerSeconds active_eta;
+    /// Total demand of the peeled entries up to and including this one.
+    double peeled_prefix;
+  };
+
+  /// Starts the timeline from the fixed-deadline active jobs' pairs; any
+  /// order, sorted here.
+  void assign_active(DeadlineDemand fixed) {
+    std::sort(fixed.begin(), fixed.end());
+    entries_.clear();
+    entries_.reserve(fixed.size());
+    for (const auto& [deadline, eta] : fixed) entries_.push_back({deadline, eta, eta, 0.0});
+  }
+
+  /// Records a job peeled at `deadline`.  A fixed-deadline active job
+  /// (`fixed_deadline` is its timeline deadline; kUnreachable for a moving
+  /// job) leaves its active entry first.
+  void peel(Seconds fixed_deadline, ContainerSeconds eta, Seconds deadline) {
+    if (fixed_deadline != kUnreachable) {
+      auto it = std::lower_bound(
+          entries_.begin(), entries_.end(), fixed_deadline,
+          [](const Entry& e, Seconds d) { return e.deadline < d; });
+      while (it->active_eta != eta) ++it;  // a peeled entry's active_eta is 0
+      entries_.erase(it);
+    }
+    const auto it = std::upper_bound(
+        entries_.begin(), entries_.end(), deadline,
+        [](Seconds d, const Entry& e) { return d < e.deadline; });
+    const auto pos = static_cast<std::size_t>(it - entries_.begin());
+    entries_.insert(it, Entry{deadline, eta, 0.0, 0.0});
+    double run = pos == 0 ? 0.0 : entries_[pos - 1].peeled_prefix;
+    for (std::size_t i = pos; i < entries_.size(); ++i) {
+      if (entries_[i].active_eta == 0.0) run += entries_[i].eta;
+      entries_[i].peeled_prefix = run;
+    }
+  }
+
+  const std::vector<Entry>& entries() const { return entries_; }
+
+ private:
+  std::vector<Entry> entries_;
+};
+
 /// An entry the deadline-order repair pulled out of its run: its key and
-/// its active index.
+/// its moving-job index.
 struct PulledEntry {
   std::pair<Seconds, ContainerSeconds> key;
   std::uint32_t index;
@@ -70,37 +98,39 @@ struct PulledEntry {
 /// levels move deadlines smoothly, so the order is usually already right
 /// and the O(n log n) sort degenerates to an O(n) validation), and the
 /// bottleneck step reuses the lane that probed the last infeasible level
-/// instead of recomputing every deadline from scratch.
+/// instead of recomputing every deadline from scratch.  Everything here is
+/// indexed by position among the *moving* jobs.
 struct ProbeScratch {
-  /// (deadline, eta) of the active jobs, sorted — what the EDF walk reads.
+  /// (deadline, eta) of the moving jobs, sorted — what the EDF walk merges
+  /// into the timeline.
   DeadlineDemand pairs;
-  /// Active-job indices in the order `pairs` was last built: always a
+  /// Moving-job indices in the order `pairs` was last built: always a
   /// permutation of [0, order.size()).  It survives across layers —
-  /// erase_from_order() remaps it when a job is peeled — so a new layer's
-  /// first probe repairs the previous layer's order instead of sorting
-  /// from scratch.
+  /// erase_from_order() remaps it when a moving job is peeled — so a new
+  /// layer's first probe repairs the previous layer's order instead of
+  /// sorting from scratch.
   std::vector<std::uint32_t> order;
   /// Merge-repair buffers: the entries pulled out of order, and the merge
   /// targets swapped into `pairs` and `order`.
   std::vector<PulledEntry> pulled;
   DeadlineDemand merged_pairs;
   std::vector<std::uint32_t> merged_order;
-  /// Deadline per active index at `level` (kUnreachable allowed).
+  /// Deadline per moving index at `level` (kUnreachable allowed).
   std::vector<Seconds> deadlines;
   /// Level this lane last probed, and the layer it was probed in.
   Utility level = 0.0;
   std::uint64_t layer_epoch = static_cast<std::uint64_t>(-1);
-  /// First active index whose deadline was unreachable (kNoIndex if none);
+  /// First moving index whose deadline was unreachable (kNoIndex if none);
   /// when set, `deadlines` past it and `pairs` are not populated.
   std::size_t first_unreachable = kNoIndex;
   bool complete = false;
 };
 
-/// Keeps a lane's deadline order valid when active index `erased` leaves an
-/// active set of `n` jobs: drops the index and shifts the later ones down,
+/// Keeps a lane's deadline order valid when moving index `erased` leaves a
+/// moving set of `n` jobs: drops the index and shifts the later ones down,
 /// preserving the relative order of the rest in one O(n) pass.  An order
-/// built over a different set (an unused lane, or the replay certificate's
-/// reduced set) is cleared instead; the next probe rebuilds it.
+/// built over a different set (an unused lane) is cleared instead; the next
+/// probe rebuilds it.
 void erase_from_order(std::vector<std::uint32_t>& order, std::size_t n,
                       std::size_t erased) {
   if (order.size() != n) {
@@ -126,36 +156,62 @@ Seconds deadline_for_level(const TasJob& j, Utility level, Seconds now, Seconds 
   return d;
 }
 
-/// Preemptive-EDF condition (Theorem 2 generalised to include peeled jobs):
-/// for every distinct deadline d in the union of `active` (sorted by
-/// deadline) and `peeled`, the total demand due by d must fit in
-/// capacity * (d - now).  Returns the first violated deadline, or
-/// kNoViolation when every constraint holds.
-Seconds first_edf_violation(const DeadlineDemand& active, const PeeledSet& peeled,
-                            ContainerCount capacity, Seconds now) {
-  // Dimension-checked walk: demand accumulates in container-seconds and is
-  // compared against the capacity x window supply — the types make a
-  // demand-vs-deadline or count-vs-work mixup a compile error, while every
-  // floating-point operation (and its order) matches the raw original
-  // bit-for-bit.
-  const units::Containers supply_rate(capacity);
+/// Walks the preemptive-EDF condition (Theorem 2 generalised to include
+/// peeled jobs) over the moving pairs (sorted by (deadline, eta)) merged
+/// into the timeline, and calls check(d, due) after each entry with the
+/// total demand due by its deadline d; stops when check returns false.
+/// Active load accumulates in (deadline, eta) order exactly as over a sort
+/// of every active job, so `due` at the last entry of a deadline is
+/// bit-identical to a walk over distinct deadlines.  The checks made inside
+/// a tied deadline see a partial sum of that same non-negative load, so
+/// they never exceed the full check: the first violated deadline, the
+/// minimum slack and the deadline attaining it are those of the distinct-
+/// deadline walk.
+template <class Check>
+void walk_edf(const DeadlineDemand& moving, const EdfTimeline& timeline, Check&& check) {
+  // Dimension-checked walk: demand accumulates in container-seconds — the
+  // types make a demand-vs-deadline or count-vs-work mixup a compile error,
+  // while every floating-point operation (and its order) matches the raw
+  // form bit-for-bit.
+  const std::vector<EdfTimeline::Entry>& fixed = timeline.entries();
   units::ContainerSeconds load(0.0);
+  double peeled = 0.0;
   std::size_t i = 0;
   std::size_t q = 0;
-  const std::size_t a = active.size();
-  const std::size_t p = peeled.size();
+  const std::size_t a = moving.size();
+  const std::size_t p = fixed.size();
   while (i < a || q < p) {
-    const Seconds d = (i < a && (q >= p || active[i].first <= peeled.deadline(q)))
-                          ? active[i].first
-                          : peeled.deadline(q);
-    while (i < a && active[i].first <= d) load += units::ContainerSeconds(active[i++].second);
-    while (q < p && peeled.deadline(q) <= d) ++q;
-    const units::ContainerSeconds due =
-        load + units::ContainerSeconds(q > 0 ? peeled.prefix(q - 1) : 0.0);
-    const units::ContainerSeconds budget = supply_rate * units::Seconds(d - now);
-    if (due > budget + units::ContainerSeconds(kEdfSlack)) return d;
+    Seconds d;
+    if (q == p || (i < a && (moving[i].first < fixed[q].deadline ||
+                             (moving[i].first == fixed[q].deadline &&
+                              moving[i].second < fixed[q].eta)))) {
+      d = moving[i].first;
+      load += units::ContainerSeconds(moving[i++].second);
+    } else {
+      const EdfTimeline::Entry& e = fixed[q++];
+      d = e.deadline;
+      load += units::ContainerSeconds(e.active_eta);
+      peeled = e.peeled_prefix;
+    }
+    if (!check(d, load + units::ContainerSeconds(peeled))) return;
   }
-  return kNoViolation;
+}
+
+/// Every distinct deadline d's total due demand must fit in
+/// capacity * (d - now).  Returns the first violated deadline, or
+/// kNoViolation when every constraint holds.
+Seconds first_edf_violation(const DeadlineDemand& moving, const EdfTimeline& timeline,
+                            ContainerCount capacity, Seconds now) {
+  const units::Containers supply_rate(capacity);
+  Seconds violated = kNoViolation;
+  walk_edf(moving, timeline, [&](Seconds d, units::ContainerSeconds due) {
+    if (due > supply_rate * units::Seconds(d - now) + units::ContainerSeconds(kEdfSlack)) {
+      violated = d;
+      return false;
+    }
+    return true;
+  });
+  return violated;
 }
 
 /// Rebuilds scratch.pairs sorted by (deadline, eta).  Elements comparing
@@ -169,8 +225,8 @@ Seconds first_edf_violation(const DeadlineDemand& active, const PeeledSet& peele
 /// O(n + m log m), and an already-sorted order is a single O(n) walk.
 /// Deadline order changes between probes only where two inverse-utility
 /// curves cross, so m stays small.
-void sort_deadlines(const std::vector<const TasJob*>& active, ProbeScratch& scratch) {
-  const std::size_t n = active.size();
+void sort_deadlines(const std::vector<const TasJob*>& moving, ProbeScratch& scratch) {
+  const std::size_t n = moving.size();
   std::vector<std::uint32_t>& order = scratch.order;
   if (order.size() != n) {
     order.resize(n);
@@ -182,7 +238,7 @@ void sort_deadlines(const std::vector<const TasJob*>& active, ProbeScratch& scra
   pairs.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
     const std::uint32_t i = order[j];
-    pairs[j] = {scratch.deadlines[i], active[i]->eta};
+    pairs[j] = {scratch.deadlines[i], moving[i]->eta};
   }
   std::vector<PulledEntry>& pulled = scratch.pulled;
   pulled.clear();
@@ -226,53 +282,39 @@ void sort_deadlines(const std::vector<const TasJob*>& active, ProbeScratch& scra
 /// makes, just without the early exit — and its magnitude tells the
 /// warm-start root finder how far the probed level sits from binding.
 /// `binding` (optional) receives the deadline attaining the minimum.
-double edf_min_slack(const DeadlineDemand& active, const PeeledSet& peeled,
+double edf_min_slack(const DeadlineDemand& moving, const EdfTimeline& timeline,
                      ContainerCount capacity, Seconds now, Seconds* binding) {
-  // Same dimension-checked accumulation as first_edf_violation; the slack
-  // (supply minus demand) is itself a ContainerSeconds quantity until the
-  // very last unwrap for the caller's root finder.
+  // The slack (supply minus demand) is itself a ContainerSeconds quantity
+  // until the very last unwrap for the caller's root finder.
   const units::Containers supply_rate(capacity);
-  units::ContainerSeconds load(0.0);
   double min_slack = std::numeric_limits<double>::infinity();
   Seconds min_deadline = kNoViolation;
-  std::size_t i = 0;
-  std::size_t q = 0;
-  const std::size_t a = active.size();
-  const std::size_t p = peeled.size();
-  while (i < a || q < p) {
-    const Seconds d = (i < a && (q >= p || active[i].first <= peeled.deadline(q)))
-                          ? active[i].first
-                          : peeled.deadline(q);
-    while (i < a && active[i].first <= d) load += units::ContainerSeconds(active[i++].second);
-    while (q < p && peeled.deadline(q) <= d) ++q;
-    const units::ContainerSeconds due =
-        load + units::ContainerSeconds(q > 0 ? peeled.prefix(q - 1) : 0.0);
+  walk_edf(moving, timeline, [&](Seconds d, units::ContainerSeconds due) {
     const double slack = (supply_rate * units::Seconds(d - now) - due).value();
     if (slack < min_slack) {
       min_slack = slack;
       min_deadline = d;
     }
-  }
+    return true;
+  });
   if (binding != nullptr) *binding = min_deadline;
   return min_slack;
 }
 
-/// Feasibility of utility level `level`: every active job gets deadline
-/// U^{-1}(level) (compensated); check the EDF condition over active +
-/// peeled demand.  Pure apart from `scratch`, the caller-owned per-lane
-/// buffer — safe to evaluate concurrently with other lanes' probes.
-bool probe_level(const std::vector<const TasJob*>& active, const PeeledSet& peeled,
-                 ContainerCount capacity, Seconds now, Seconds horizon,
-                 bool compensate, Utility level, std::uint64_t layer_epoch,
-                 ProbeScratch& scratch) {
-  const std::size_t n = active.size();
+/// Fills the lane with every moving job's deadline at `level` and sorts
+/// them; false (with `first_unreachable` set) when some moving job cannot
+/// reach the level.
+bool sort_level(const std::vector<const TasJob*>& moving, Seconds now, Seconds horizon,
+                bool compensate, Utility level, std::uint64_t layer_epoch,
+                ProbeScratch& scratch) {
+  const std::size_t n = moving.size();
   scratch.level = level;
   scratch.layer_epoch = layer_epoch;
   scratch.first_unreachable = kNoIndex;
   scratch.complete = false;
   scratch.deadlines.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const Seconds d = deadline_for_level(*active[i], level, now, horizon, compensate);
+    const Seconds d = deadline_for_level(*moving[i], level, now, horizon, compensate);
     scratch.deadlines[i] = d;
     if (d == kUnreachable) {
       scratch.first_unreachable = i;
@@ -280,38 +322,37 @@ bool probe_level(const std::vector<const TasJob*>& active, const PeeledSet& peel
     }
   }
   scratch.complete = true;
-  sort_deadlines(active, scratch);
-  return first_edf_violation(scratch.pairs, peeled, capacity, now) == kNoViolation;
+  sort_deadlines(moving, scratch);
+  return true;
+}
+
+/// Feasibility of utility level `level`: every moving job gets deadline
+/// U^{-1}(level) (compensated); check the EDF condition over those and the
+/// timeline.  Pure apart from `scratch`, the caller-owned per-lane buffer —
+/// safe to evaluate concurrently with other lanes' probes.
+bool probe_level(const std::vector<const TasJob*>& moving, const EdfTimeline& timeline,
+                 ContainerCount capacity, Seconds now, Seconds horizon,
+                 bool compensate, Utility level, std::uint64_t layer_epoch,
+                 ProbeScratch& scratch) {
+  return sort_level(moving, now, horizon, compensate, level, layer_epoch, scratch) &&
+         first_edf_violation(scratch.pairs, timeline, capacity, now) == kNoViolation;
 }
 
 /// Slack-valued variant of probe_level for the warm-start root finder:
 /// returns the minimum EDF slack at `level` (-infinity when the level is
-/// unreachable for some active job — `scratch.first_unreachable` then names
+/// unreachable for some moving job — `scratch.first_unreachable` then names
 /// the job).  `binding` receives the binding deadline (kNoViolation when
 /// unreachable).  Fills `scratch` identically to probe_level.
-double probe_level_slack(const std::vector<const TasJob*>& active,
-                         const PeeledSet& peeled, ContainerCount capacity,
+double probe_level_slack(const std::vector<const TasJob*>& moving,
+                         const EdfTimeline& timeline, ContainerCount capacity,
                          Seconds now, Seconds horizon, bool compensate,
                          Utility level, std::uint64_t layer_epoch,
                          ProbeScratch& scratch, Seconds* binding) {
-  const std::size_t n = active.size();
-  scratch.level = level;
-  scratch.layer_epoch = layer_epoch;
-  scratch.first_unreachable = kNoIndex;
-  scratch.complete = false;
-  scratch.deadlines.resize(n);
-  if (binding != nullptr) *binding = kNoViolation;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Seconds d = deadline_for_level(*active[i], level, now, horizon, compensate);
-    scratch.deadlines[i] = d;
-    if (d == kUnreachable) {
-      scratch.first_unreachable = i;
-      return -std::numeric_limits<double>::infinity();
-    }
+  if (!sort_level(moving, now, horizon, compensate, level, layer_epoch, scratch)) {
+    if (binding != nullptr) *binding = kNoViolation;
+    return -std::numeric_limits<double>::infinity();
   }
-  scratch.complete = true;
-  sort_deadlines(active, scratch);
-  return edf_min_slack(scratch.pairs, peeled, capacity, now, binding);
+  return edf_min_slack(scratch.pairs, timeline, capacity, now, binding);
 }
 
 }  // namespace
@@ -364,7 +405,36 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
   }
   result.horizon = horizon;
 
-  PeeledSet peeled;
+  // Split the active set once (DESIGN.md §5d).  A job whose deadline is the
+  // same at level 0 and at its level cap holds that deadline at every level
+  // a probe asks for: inverse is non-increasing and no probe exceeds the
+  // layer cap, the smallest cap of any active job.  Such jobs (constant
+  // utilities, curves clamped at the horizon) go into the timeline once;
+  // probes invert, sort and repair the order of the moving jobs only.  A
+  // job unreachable at level 0 stays moving, so probes still name it.
+  std::vector<Seconds> fixed_at;  // parallel to `active`; kUnreachable = moving
+  std::vector<const TasJob*> moving;
+  std::vector<std::uint32_t> moving_at;  // active index of each moving job
+  EdfTimeline timeline;
+  {
+    DeadlineDemand fixed_pairs;
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      const TasJob& j = *active[i];
+      const Seconds d = deadline_for_level(j, 0.0, now, horizon, config.compensate_runtime);
+      const bool fixed =
+          d != kUnreachable &&
+          d == deadline_for_level(j, cap_of[i], now, horizon, config.compensate_runtime);
+      fixed_at.push_back(fixed ? d : kUnreachable);
+      if (fixed) {
+        fixed_pairs.emplace_back(d, j.eta);
+      } else {
+        moving.push_back(&j);
+        moving_at.push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+    timeline.assign_active(std::move(fixed_pairs));
+  }
+
   const int k = config.section_probes;
   // One scratch buffer per probe lane: lane j of a round touches only
   // scratch[j] and level_ok[j], so concurrent probes need no locking.
@@ -376,17 +446,36 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
   // active set.
   std::uint64_t layer_epoch = 0;
 
-  // Removes active index `index`, keeping cap_of and every lane's deadline
-  // order aligned with the shrunken set.
+  // Removes active index `index`, keeping cap_of, fixed_at, the moving
+  // list and every lane's deadline order aligned with the shrunken set.
   const auto erase_active = [&](std::size_t index) {
-    for (ProbeScratch& lane : scratch) erase_from_order(lane.order, active.size(), index);
+    auto slot = std::lower_bound(moving_at.begin(), moving_at.end(), index);
+    if (fixed_at[index] == kUnreachable) {
+      const auto m = static_cast<std::size_t>(slot - moving_at.begin());
+      for (ProbeScratch& lane : scratch) erase_from_order(lane.order, moving.size(), m);
+      moving.erase(moving.begin() + static_cast<std::ptrdiff_t>(m));
+      slot = moving_at.erase(slot);
+    }
+    for (; slot != moving_at.end(); ++slot) --*slot;
     active.erase(active.begin() + static_cast<std::ptrdiff_t>(index));
     cap_of.erase(cap_of.begin() + static_cast<std::ptrdiff_t>(index));
+    fixed_at.erase(fixed_at.begin() + static_cast<std::ptrdiff_t>(index));
+  };
+
+  // Calls visit(i, d) for each active index i in order, d its deadline at
+  // the level `lane` last probed (complete lanes only), until visit returns
+  // false.
+  const auto for_each_deadline = [&](const ProbeScratch& lane, auto&& visit) {
+    std::size_t m = 0;
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      const Seconds d = fixed_at[i] != kUnreachable ? fixed_at[i] : lane.deadlines[m++];
+      if (!visit(i, d)) return;
+    }
   };
 
   const auto feasible = [&](Utility level) {
     ++result.probes;
-    return probe_level(active, peeled, capacity, now, horizon,
+    return probe_level(moving, timeline, capacity, now, horizon,
                        config.compensate_runtime, level, layer_epoch, scratch[0]);
   };
 
@@ -410,7 +499,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
     t.impossible = job.utility->value(t.target_completion) <= 0.0;
     result.targets.push_back(t);
     result.hint.push_back({job.id, level, t.target_completion});
-    peeled.insert(d, job.eta);
+    timeline.peel(fixed_at[index], job.eta, d);
     erase_active(index);
   };
 
@@ -458,7 +547,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
         Seconds deadline;
       };
       std::vector<Tentative> prefix;
-      PeeledSet tentative;
+      EdfTimeline tentative;  // the prefix's peeled entries only
       std::vector<unsigned char> used(active.size(), 0);
       Utility run_level = level_feasible;
       for (const TasTarget& prev : *replay->targets) {
@@ -486,7 +575,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
             deadline_for_level(job, level, now, horizon, config.compensate_runtime);
         if (d == kUnreachable) break;  // carried level no longer achievable
         prefix.push_back({index, level, d});
-        tentative.insert(d, job.eta);
+        tentative.peel(kUnreachable, job.eta, d);
         used[index] = 1;
         run_level = level;
       }
@@ -496,16 +585,21 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
         // feasible for the remaining jobs — the invariant every layer's
         // search establishes on the cold path, and what keeps audit_tas's
         // EDF condition intact on replayed results.  Infeasible => abandon
-        // wholesale and peel everything.
+        // wholesale and peel everything.  The run level may exceed a
+        // remaining job's cap, where its "fixed" deadline no longer holds,
+        // so every remaining job probes as moving; the lane's order is over
+        // that other set, so it is dropped on both sides of the probe.
         std::vector<const TasJob*> remaining;
         for (std::size_t i = 0; i < active.size(); ++i) {
           if (used[i] == 0) remaining.push_back(active[i]);
         }
         ++result.probes;
+        scratch[0].order.clear();
         const bool certified =
             probe_level(remaining, tentative, capacity, now, horizon,
                         config.compensate_runtime, run_level, layer_epoch,
                         scratch[0]);
+        scratch[0].order.clear();
         if (certified) {
           for (const Tentative& p : prefix) {
             const TasJob& job = *active[p.index];
@@ -521,9 +615,9 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
             t.impossible = job.utility->value(t.target_completion) <= 0.0;
             result.targets.push_back(t);
             result.hint.push_back({job.id, p.level, t.target_completion});
+            timeline.peel(fixed_at[p.index], job.eta, p.deadline);
             ++layer;
           }
-          peeled = std::move(tentative);
           level_feasible = run_level;
           result.replayed_layers = static_cast<long>(prefix.size());
           std::vector<std::size_t> erase_order;
@@ -650,7 +744,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
       const auto slack_probe = [&](Utility level) {
         ++result.probes;
         const double s =
-            probe_level_slack(active, peeled, capacity, now, horizon,
+            probe_level_slack(moving, timeline, capacity, now, horizon,
                               config.compensate_runtime, level, layer_epoch,
                               scratch[0], &probe_binding);
         return s;
@@ -684,11 +778,14 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
       // constraint (kNoIndex when the binding deadline belongs to a peeled
       // job, whose deadline no probe can move).
       const auto binding_job = [&](Seconds binding) -> std::size_t {
-        if (!scratch[0].complete) return kNoIndex;
-        for (std::size_t i = 0; i < active.size(); ++i) {
-          if (scratch[0].deadlines[i] == binding) return i;
+        std::size_t found = kNoIndex;
+        if (scratch[0].complete) {
+          for_each_deadline(scratch[0], [&](std::size_t i, Seconds d) {
+            if (d == binding) found = i;
+            return found == kNoIndex;
+          });
         }
-        return kNoIndex;
+        return found;
       };
       if (hint_level >= level_cap * (1.0 - 2.0 * config.tolerance)) {
         // A hint at or next to the cap: open with the cap probe, exactly as
@@ -718,8 +815,8 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
           // Unreachable level: chase down to the blocking job's maximum
           // achievable level (the level whose deadline lands exactly at
           // `now`).
-          if (cur_unreachable != kNoIndex && cur_unreachable < active.size()) {
-            next = crossing_level(*active[cur_unreachable], now) *
+          if (cur_unreachable != kNoIndex && cur_unreachable < moving.size()) {
+            next = crossing_level(*moving[cur_unreachable], now) *
                    (1.0 - 0.25 * config.tolerance);
           }
         } else if (cur_bind_job != kNoIndex) {
@@ -932,7 +1029,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
       }
       result.probes += k;
       const auto run_probe = [&](std::size_t j) {
-        level_ok[j] = probe_level(active, peeled, capacity, now, horizon,
+        level_ok[j] = probe_level(moving, timeline, capacity, now, horizon,
                                   config.compensate_runtime, levels[j], layer_epoch,
                                   scratch[j])
                           ? 1
@@ -978,25 +1075,26 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
         }
       }
       if (stash == nullptr) {
-        probe_level(active, peeled, capacity, now, horizon,
+        probe_level(moving, timeline, capacity, now, horizon,
                     config.compensate_runtime, probe, layer_epoch, scratch[0]);
         stash = &scratch[0];
       }
       if (!stash->complete) {
-        bottleneck = stash->first_unreachable;
+        bottleneck = moving_at[stash->first_unreachable];
         found = true;
       } else {
         const Seconds violation =
-            first_edf_violation(stash->pairs, peeled, capacity, now);
+            first_edf_violation(stash->pairs, timeline, capacity, now);
         const Seconds violated_at = violation == kNoViolation ? horizon : violation;
         Seconds best = -1.0;
-        for (std::size_t i = 0; i < active.size(); ++i) {
-          if (stash->deadlines[i] <= violated_at + 1e-12 && stash->deadlines[i] > best) {
-            best = stash->deadlines[i];
+        for_each_deadline(*stash, [&](std::size_t i, Seconds d) {
+          if (d <= violated_at + 1e-12 && d > best) {
+            best = d;
             bottleneck = i;
             found = true;
           }
-        }
+          return true;
+        });
       }
       if (!found) bottleneck = cap_index;  // numerical fallback
     }

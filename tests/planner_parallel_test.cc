@@ -1,7 +1,10 @@
 // Differential tests for the parallel replanning engine: across randomized
 // workloads, the fanned-out planner (2, 4, 8 threads, WCDE cache on or off)
 // must produce Plans bit-for-bit identical to the serial, cache-less
-// reference path — with the invariant auditor armed the whole time.  A
+// reference path — with the invariant auditor armed the whole time.  Peel
+// warm start (on by default) makes Plan::peel_probes depend on the pass
+// history, so each reference plans the same sequence of passes as the
+// planner it is compared against.  A
 // determinism regression then pins the full Experiment pipeline: two runs
 // with the same seed and planner_threads > 1 yield identical event traces
 // and metrics CSVs.
@@ -71,8 +74,9 @@ Workload random_workload(std::uint64_t seed) {
   return w;
 }
 
-RushConfig planner_config(const Workload& w, int threads, bool cache) {
+RushConfig planner_config(const Workload& w, int threads, bool cache, bool warm = true) {
   RushConfig config;
+  config.warm_start_peeling = warm;
   config.theta = w.theta;
   config.delta = w.delta;
   config.adaptive_delta = true;  // exercise per-job deltas too
@@ -106,21 +110,28 @@ class PlannerDifferentialTest : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(PlannerDifferentialTest, ParallelAndCachedPlansMatchSerialReference) {
   const Workload w = random_workload(GetParam());
-  RushPlanner reference(planner_config(w, 1, false));
-  const Plan want = reference.plan(w.jobs, w.capacity, w.now);
-
-  for (int threads : {2, 4, 8}) {
-    for (bool cache : {false, true}) {
-      RushPlanner planner(planner_config(w, threads, cache));
-      const std::string label = "threads=" + std::to_string(threads) +
-                                " cache=" + std::to_string(cache);
-      // Two consecutive passes: the second is all cache hits when the cache
-      // is on, and must still be identical.
-      expect_plans_identical(planner.plan(w.jobs, w.capacity, w.now), want, label);
-      expect_plans_identical(planner.plan(w.jobs, w.capacity, w.now), want,
-                             label + " second pass");
-      if (cache && !w.jobs.empty()) {
-        EXPECT_GE(planner.wcde_cache_stats().hits, w.jobs.size()) << label;
+  // Two consecutive passes: the second is all cache hits when the cache is
+  // on and (warm) peels from the first pass's hint, and must still be
+  // identical to the reference's second pass.  The cold leg pins the
+  // warm_start_peeling = false path, whose passes all equal the first.
+  for (bool warm : {true, false}) {
+    RushPlanner reference(planner_config(w, 1, false, warm));
+    const Plan want_first = reference.plan(w.jobs, w.capacity, w.now);
+    const Plan want_second = reference.plan(w.jobs, w.capacity, w.now);
+    if (!warm) expect_plans_identical(want_second, want_first, "cold reference second pass");
+    for (int threads : {2, 4, 8}) {
+      for (bool cache : {false, true}) {
+        if (!warm && (threads != 4 || !cache)) continue;
+        RushPlanner planner(planner_config(w, threads, cache, warm));
+        const std::string label = "threads=" + std::to_string(threads) +
+                                  " cache=" + std::to_string(cache) +
+                                  " warm=" + std::to_string(warm);
+        expect_plans_identical(planner.plan(w.jobs, w.capacity, w.now), want_first, label);
+        expect_plans_identical(planner.plan(w.jobs, w.capacity, w.now), want_second,
+                               label + " second pass");
+        if (cache && !w.jobs.empty()) {
+          EXPECT_GE(planner.wcde_cache_stats().hits, w.jobs.size()) << label;
+        }
       }
     }
   }
@@ -129,10 +140,13 @@ TEST_P(PlannerDifferentialTest, ParallelAndCachedPlansMatchSerialReference) {
 TEST_P(PlannerDifferentialTest, SingleJobMutationKeepsCachedPlansExact) {
   // The feedback-cycle common case: one container event changes one job's
   // PMF; every other entry is served from the cache.  The mutated-pass plan
-  // must equal a fresh serial planner's answer on the mutated inputs.
+  // must equal a serial, cache-less planner's answer on the mutated inputs,
+  // that planner having planned the same passes before it.
   Workload w = random_workload(GetParam() + 5000);
   RushPlanner planner(planner_config(w, 4, true));
-  planner.plan(w.jobs, w.capacity, w.now);  // warm the cache
+  RushPlanner reference(planner_config(w, 1, false));
+  expect_plans_identical(planner.plan(w.jobs, w.capacity, w.now),  // warm the cache
+                         reference.plan(w.jobs, w.capacity, w.now), "first pass");
 
   Rng rng(GetParam() + 9999);
   for (int event = 0; event < 5 && !w.jobs.empty(); ++event) {
@@ -143,7 +157,6 @@ TEST_P(PlannerDifferentialTest, SingleJobMutationKeepsCachedPlansExact) {
                                           mean * 3.5 / 128.0));
     job.samples += 1;
 
-    RushPlanner reference(planner_config(w, 1, false));
     expect_plans_identical(planner.plan(w.jobs, w.capacity, w.now),
                            reference.plan(w.jobs, w.capacity, w.now),
                            "event " + std::to_string(event));
