@@ -64,7 +64,10 @@ class EdfTimeline {
       auto it = std::lower_bound(
           entries_.begin(), entries_.end(), fixed_deadline,
           [](const Entry& e, Seconds d) { return e.deadline < d; });
-      while (it->active_eta != eta) ++it;  // a peeled entry's active_eta is 0
+      // Its own entry: same deadline and eta, still active (a peeled
+      // entry's active_eta is 0).
+      while (it != entries_.end() && it->active_eta != eta) ++it;
+      ensure(it != entries_.end(), "EdfTimeline::peel: no active entry to peel");
       entries_.erase(it);
     }
     const auto it = std::upper_bound(
