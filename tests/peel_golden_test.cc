@@ -29,11 +29,14 @@
 // hash IEEE-754 bit patterns, so they assume the default x86-64 build
 // (SSE2 arithmetic, no FMA contraction, the glibc libm).
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -136,6 +139,10 @@ enum class Shape {
   /// eta) ties join jobs whose deadline moves with the level to jobs whose
   /// deadline does not.  Needs an explicit horizon.
   kClampedTies,
+  /// Large etas on steep sigmoids whose budgets fall within a minute, plus a
+  /// few later ones: at most probed levels the earliest EDF deadline alone
+  /// already carries more demand than the capacity can serve by it.
+  kFrontLoaded,
 };
 
 /// A TAS instance that owns its utility curves.
@@ -243,6 +250,15 @@ Instance make_instance(Shape shape, int count, Seconds now, Seconds horizon, Rng
         job.avg_task_runtime = rng.uniform_int(0, 1) == 0 ? 5.0 : 30.0;
         break;
       }
+      case Shape::kFrontLoaded: {
+        const bool early = rng.uniform_int(0, 4) != 0;
+        const Seconds budget = now + (early ? rng.uniform(5.0, 60.0) : rng.uniform(200.0, 900.0));
+        inst.utilities.push_back(std::make_unique<SigmoidUtility>(
+            budget, rng.uniform(1.0, 5.0), rng.uniform(0.05, 0.8)));
+        job.eta = early ? rng.uniform(400.0, 3000.0) : rng.uniform(20.0, 300.0);
+        job.avg_task_runtime = rng.uniform(1.0, 8.0);
+        break;
+      }
     }
     job.utility = inst.utilities.back().get();
     inst.jobs.push_back(job);
@@ -272,6 +288,25 @@ struct PeelDigests {
   std::uint64_t replay = 0;
 };
 
+/// `PeelSetup::horizon_after` value asking for a horizon at which the
+/// latest reachable deadline's supply is exactly the whole demand:
+/// now + min R_i + total eta / capacity, re-derived at the drifted `now` by
+/// rescaling every eta.  Level 0 then just fits, and no EDF entry's supply
+/// ever exceeds the demand of the call.
+constexpr Seconds kTightHorizon = -1.0;
+
+/// Sum of the positive etas, and the smallest runtime among those jobs.
+std::pair<ContainerSeconds, Seconds> demand_of(const std::vector<TasJob>& jobs) {
+  ContainerSeconds total = 0.0;
+  Seconds min_runtime = std::numeric_limits<Seconds>::infinity();
+  for (const TasJob& job : jobs) {
+    if (job.eta <= 0.0) continue;
+    total += job.eta;
+    min_runtime = std::min(min_runtime, job.avg_task_runtime);
+  }
+  return {total, min_runtime};
+}
+
 /// What one peel scenario varies.
 struct PeelSetup {
   const char* name;
@@ -281,7 +316,7 @@ struct PeelSetup {
   int section_probes;
   std::uint64_t seed;
   /// Explicit horizon in seconds after the first peel's `now`; 0 lets the
-  /// peel choose it.
+  /// peel choose it, kTightHorizon derives it from the demand.
   Seconds horizon_after;
   /// Pool for the k-section rounds (nullptr = serial).
   ThreadPool* pool;
@@ -290,8 +325,13 @@ struct PeelSetup {
 PeelDigests run_peel(const PeelSetup& c) {
   Rng rng(c.seed);
   const Seconds t0 = rng.uniform(0.0, 100.0);
-  const Seconds horizon = c.horizon_after > 0.0 ? t0 + c.horizon_after : 0.0;
+  Seconds horizon = c.horizon_after > 0.0 ? t0 + c.horizon_after : 0.0;
   Instance inst = make_instance(c.shape, c.jobs, t0, horizon, rng);
+  const bool tight = c.horizon_after == kTightHorizon;
+  if (tight) {
+    const auto [total, min_runtime] = demand_of(inst.jobs);
+    horizon = t0 + min_runtime + total / static_cast<double>(c.capacity);
+  }
 
   OnionPeelingConfig config;
   config.section_probes = c.section_probes;
@@ -315,6 +355,13 @@ PeelDigests run_peel(const PeelSetup& c) {
     } else {
       job.eta *= rng.uniform(0.98, 1.0);
     }
+  }
+  if (tight) {
+    // Scale the drifted demand back to exactly the supply left at t1.
+    const auto [total, min_runtime] = demand_of(inst.jobs);
+    const double scale =
+        static_cast<double>(c.capacity) * (horizon - min_runtime - t1) / total;
+    for (TasJob& job : inst.jobs) job.eta *= scale;
   }
 
   const TasResult drifted = onion_peel(inst.jobs, c.capacity, t1, config);
@@ -448,6 +495,21 @@ const EdgePeelCase kEdgePeelCases[] = {
     {"clamped-ties-200-k1", Shape::kClampedTies, 200, 48, 1, 68, 3000.0,
      0x27878badfb85b21e, 0x113df9a6a2f1a33e,
      0xe6218ed41ca3be58, 0x4c00a88646079049},
+    // No EDF entry's supply reaches the demand of the call: every walk runs
+    // to its last entry.
+    {"tight-half-constant-60-k4", Shape::kHalfConstant, 60, 24, 4, 69, kTightHorizon,
+     0x91931227658e1c5a, 0xb989489571681974,
+     0x98bd06bad1a089ac, 0xd29c6b1b82f33a23},
+    {"tight-crossing-60-k1", Shape::kCrossingSigmoids, 60, 16, 1, 70, kTightHorizon,
+     0x39ab073173c0b292, 0xd5da94280b659f18,
+     0xcc72ea5f47dae399, 0x939171d753690980},
+    // The first EDF entry of most probes already violates.
+    {"front-loaded-80-k4", Shape::kFrontLoaded, 80, 16, 4, 72, 0.0,
+     0x460b8d6593d684b3, 0xad9724fcb3a7fe4b,
+     0xf1e25c339353124f, 0x477421dfb6080c76},
+    {"front-loaded-200-k1", Shape::kFrontLoaded, 200, 48, 1, 73, 0.0,
+     0x8ceae80210ba476a, 0x3f43aa52f4f3ac00,
+     0xdd52f12334feb68e, 0x0fe843e3d015f50e},
 };
 
 TEST(PeelGolden, EdgeCaseDigestsAreFrozen) {
@@ -554,6 +616,85 @@ TEST(PeelGolden, ReplayCertificateOverTheMovingJobs) {
     add_tas(d, r);
   }
   EXPECT_EQ(d.get(), 0xe232ed7cb7e1eb4eULL) << "now " << hex(d.get());
+}
+
+TEST(PeelGolden, ReplayPrefixThenDegenerateLayers) {
+  // A replayed prefix that ends inside a run of ConstantUtility(1.0) layers:
+  // the certificate probes level 1.0 over the remaining jobs, and the first
+  // re-peeled layers are degenerate (cap 1.0 at feasible level 1.0), so each
+  // probes level 1.0 again over the moving jobs alone.
+  Rng rng(74);
+  const Seconds t0 = rng.uniform(0.0, 100.0);
+  Instance inst = make_instance(Shape::kHalfConstant, 200, t0, 0.0, rng);
+  for (std::size_t i = 0; i < inst.jobs.size(); ++i) {
+    // A tenth of the demand keeps every layer above level 0: a zero-level
+    // layer re-prices at the horizon to a tiny positive level, which gives
+    // every later zero-level layer a finite, earlier deadline.  A step job re-prices to its full weight (its completion sits at the
+    // budget), which lifts the replayed climb above the first peel's levels
+    // and fails the certificate; linear curves re-price to their level.
+    if (i % 9 == 0) {
+      inst.utilities[i] = std::make_unique<ConstantUtility>(1.0);
+    } else if (dynamic_cast<const StepUtility*>(inst.utilities[i].get()) != nullptr) {
+      inst.utilities[i] = std::make_unique<LinearUtility>(t0 + 300.0, 2.0, 0.01);
+    }
+    inst.jobs[i].utility = inst.utilities[i].get();
+    inst.jobs[i].eta *= 0.1;
+  }
+  const auto job_of = [&](JobId id) -> const TasJob& {
+    return inst.jobs[static_cast<std::size_t>((id - 1) / 3)];
+  };
+  const auto shared_constant = [&](JobId id) {
+    const auto* u = dynamic_cast<const ConstantUtility*>(job_of(id).utility);
+    return u != nullptr && u->priority() == 1.0 && job_of(id).eta > 0.0;
+  };
+
+  ThreadPool pool(3);
+  Digest serial;
+  for (ThreadPool* lanes : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<TasJob> jobs = inst.jobs;
+    OnionPeelingConfig config;
+    config.pool = lanes;
+    // A fixed horizon keeps the replayed levels where the first peel put them.
+    config.horizon = t0 + 6000.0;
+    const TasResult first = onion_peel(jobs, 48, t0, config);
+    // The replay stops at the second layer of the 1.0 run: its job moved.
+    std::size_t stop = 0;
+    for (std::size_t i = 1; i < first.targets.size() && stop == 0; ++i) {
+      if (shared_constant(first.targets[i - 1].id) && shared_constant(first.targets[i].id)) {
+        stop = i;
+      }
+    }
+    ASSERT_GT(stop, 0u);
+    long prefix = 0;  // layers before `stop`; zero-demand jobs have none
+    for (std::size_t i = 0; i < stop; ++i) prefix += job_of(first.targets[i].id).eta > 0.0 ? 1 : 0;
+    const std::vector<JobId> moved = {first.targets[stop].id};
+    for (TasJob& job : jobs) job.eta *= job.id == moved[0] ? 0.6 : 0.99;
+    const Seconds t1 = t0 + 0.25;
+
+    Digest d;
+    add_tas(d, first);
+    OnionPeelingConfig warm = config;
+    warm.warm_hint = &first.hint;
+    add_tas(d, onion_peel(jobs, 48, t1, warm));
+    PeelReplay replay;
+    replay.targets = &first.targets;
+    replay.moved = &moved;
+    replay.tolerance = 0.05;
+    for (const bool hinted : {false, true}) {
+      OnionPeelingConfig replayed = hinted ? warm : config;
+      replayed.replay = &replay;
+      const TasResult r = onion_peel(jobs, 48, t1, replayed);
+      EXPECT_EQ(r.replayed_layers, prefix) << "hinted " << hinted;
+      EXPECT_EQ(r.targets[stop].utility_level, 1.0) << "hinted " << hinted;
+      add_tas(d, r);
+    }
+    if (lanes == nullptr) {
+      serial = d;
+      EXPECT_EQ(d.get(), 0xd50a5fe57860f551ULL) << "now " << hex(d.get());
+    } else {
+      EXPECT_EQ(d.get(), serial.get()) << "pooled";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
