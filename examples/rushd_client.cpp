@@ -11,6 +11,8 @@
 //     --play F             drive the daemon with a recorded event log; the
 //                          daemon must run with --client-time
 //     --replay-wal F       replay a daemon WAL offline through the engine
+//     --scheduler NAME     replay's scheduler: RUSH | EDF | FIFO | RRH | Fair (RUSH)
+//     --speculation        replay with backup attempts, as the log's run had (off)
 //     --trace F            write the run's trace CSV (reference/replay modes)
 //
 // Default mode connects, submits every job from the XML file, and acts as
@@ -21,7 +23,11 @@
 // The CI smoke session (scripts/daemon_smoke.sh) chains the other modes:
 // record a reference log, --play it into rushd --client-time, then
 // --replay-wal the daemon's own WAL and diff the traces — byte-identical
-// by the engine's determinism guarantee (DESIGN.md §5j).
+// by the engine's determinism guarantee (DESIGN.md §5j).  A log does not
+// record its scheduler or speculation setting, so --replay-wal takes them
+// with `simulate`'s names and defaults: a `simulate --scheduler FIFO
+// --speculation --event-log F` run replays with the same two flags (and
+// --capacity 48, the paper testbed's).
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -32,6 +38,7 @@
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -43,6 +50,7 @@
 #include "src/engine/event_log.h"
 #include "src/engine/replay.h"
 #include "src/engine/simulation.h"
+#include "src/experiments/experiment.h"
 #include "src/metrics/trace.h"
 
 using namespace rush;
@@ -57,6 +65,8 @@ struct Options {
   std::optional<std::string> record_reference;
   std::optional<std::string> play;
   std::optional<std::string> replay_wal;
+  std::string scheduler = "RUSH";
+  bool speculation = false;
   std::optional<std::string> trace_path;
 };
 
@@ -85,6 +95,10 @@ Options parse_options(int argc, char** argv) {
       opt.play = need_value(i);
     } else if (flag == "--replay-wal") {
       opt.replay_wal = need_value(i);
+    } else if (flag == "--scheduler") {
+      opt.scheduler = need_value(i);
+    } else if (flag == "--speculation") {
+      opt.speculation = true;
     } else if (flag == "--trace") {
       opt.trace_path = need_value(i);
     } else {
@@ -154,10 +168,11 @@ int record_reference(const Options& opt) {
 /// --replay-wal: re-derive a session's full trace from its write-ahead log.
 int replay_wal(const Options& opt) {
   const std::vector<EngineEvent> events = read_event_log(*opt.replay_wal);
-  RushScheduler scheduler;
+  const std::unique_ptr<Scheduler> scheduler = make_named_scheduler(opt.scheduler);
+  EngineConfig config{opt.capacity, false};
+  config.speculation.enabled = opt.speculation;
   TraceRecorder trace;
-  const RunResult result =
-      replay_events(EngineConfig{opt.capacity, false}, scheduler, events, &trace);
+  const RunResult result = replay_events(config, *scheduler, events, &trace);
   if (opt.trace_path) trace.write_csv(*opt.trace_path);
   std::cout << "replayed " << events.size() << " events: " << result.jobs.size()
             << " jobs, " << result.assignments << " assignments, makespan "

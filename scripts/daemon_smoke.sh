@@ -9,6 +9,9 @@
 # 5. The replayed trace must be byte-identical to the reference trace, and
 #    the daemon's WAL byte-identical to the reference event log — the
 #    engine determinism guarantee of DESIGN.md §5j.  Any diff fails.
+# 6. Replay two `simulate` event logs, one with --speculation and one with
+#    --scheduler FIFO, through rushd_client --replay-wal with the same
+#    settings; each replayed trace must be byte-identical to simulate's.
 #
 # Usage: scripts/daemon_smoke.sh [BUILD_DIR]   (default: build)
 
@@ -18,6 +21,7 @@ BUILD_DIR="${1:-build}"
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 RUSHD="$REPO_ROOT/$BUILD_DIR/src/rushd"
 CLIENT="$REPO_ROOT/$BUILD_DIR/examples/rushd_client"
+SIMULATE="$REPO_ROOT/$BUILD_DIR/examples/simulate"
 JOBS="$REPO_ROOT/examples/jobs.xml"
 WORK="$(mktemp -d)"
 SOCKET="$WORK/rushd.sock"
@@ -29,8 +33,8 @@ cleanup() {
 }
 trap cleanup EXIT
 
-[[ -x "$RUSHD" && -x "$CLIENT" ]] || {
-  echo "daemon_smoke: build rushd and rushd_client first ($BUILD_DIR)" >&2
+[[ -x "$RUSHD" && -x "$CLIENT" && -x "$SIMULATE" ]] || {
+  echo "daemon_smoke: build rushd, rushd_client and simulate first ($BUILD_DIR)" >&2
   exit 1
 }
 
@@ -68,3 +72,20 @@ diff "$WORK/ref.csv" "$WORK/replayed.csv" > /dev/null || {
   exit 1
 }
 echo "daemon_smoke: OK — WAL and replayed trace byte-identical to reference"
+
+# simulate runs on the paper testbed (48 containers); the replay must use
+# the scheduler and speculation setting the log was written with.
+for settings in "--speculation" "--scheduler FIFO"; do
+  echo "== replay simulate $settings =="
+  # shellcheck disable=SC2086  # $settings is one or two flags
+  "$SIMULATE" --jobs 12 $settings --event-log "$WORK/sim.evlog" \
+              --trace "$WORK/sim.csv" > /dev/null
+  # shellcheck disable=SC2086
+  "$CLIENT" --replay-wal "$WORK/sim.evlog" --trace "$WORK/sim-replayed.csv" \
+            --capacity 48 $settings
+  diff "$WORK/sim.csv" "$WORK/sim-replayed.csv" > /dev/null || {
+    echo "daemon_smoke: FAIL — replayed trace differs from simulate $settings" >&2
+    exit 1
+  }
+done
+echo "daemon_smoke: OK — simulate logs replay byte-identically"

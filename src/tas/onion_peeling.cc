@@ -1,6 +1,7 @@
 #include "src/tas/onion_peeling.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -22,6 +23,17 @@ constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
 /// The pair's lexicographic operator< is the EDF sort key.
 using DeadlineDemand = std::vector<std::pair<Seconds, ContainerSeconds>>;
 
+/// What every probe of one onion_peel call shares.
+struct PeelContext {
+  ContainerCount capacity = 0;
+  Seconds now = 0.0;
+  Seconds horizon = 0.0;
+  bool compensate = true;
+  /// No `due` an EDF walk of this call computes exceeds this (see
+  /// onion_peel), so a walk stops once the supply reaches it.
+  units::ContainerSeconds demand_bound{0.0};
+};
+
 /// The EDF constraints that no probe moves, in one deadline-sorted vector:
 /// the active jobs whose deadline is the same at every level a probe can ask
 /// for (ConstantUtility jobs, curves clamped at the horizon) and the jobs
@@ -32,9 +44,9 @@ using DeadlineDemand = std::vector<std::pair<Seconds, ContainerSeconds>>;
 /// Order: by deadline; within a deadline, the fixed active entries by eta,
 /// then the peeled entries in the order they were peeled.  The active
 /// entries' (deadline, eta) order lets a probe add load in exactly the
-/// order a sort of all active jobs would; the peeled prefix is a left fold
-/// over the peeled entries in this order, so neither sum depends on which
-/// jobs are moving (tests/peel_golden_test.cc pins both).
+/// order a sort of all active jobs would; the walk folds the peeled demand
+/// left to right in this order, so neither sum depends on which jobs are
+/// moving (tests/peel_golden_test.cc pins both).
 class EdfTimeline {
  public:
   struct Entry {
@@ -43,8 +55,9 @@ class EdfTimeline {
     /// Demand this entry adds to the active load: eta for an active job,
     /// 0 for a peeled one (x + 0.0 == x for the non-negative loads).
     ContainerSeconds active_eta;
-    /// Total demand of the peeled entries up to and including this one.
-    double peeled_prefix;
+    /// Demand this entry adds to the peeled load: eta for a peeled job, 0
+    /// for an active one.
+    ContainerSeconds peeled_eta;
   };
 
   /// Starts the timeline from the fixed-deadline active jobs' pairs; any
@@ -73,13 +86,7 @@ class EdfTimeline {
     const auto it = std::upper_bound(
         entries_.begin(), entries_.end(), deadline,
         [](Seconds d, const Entry& e) { return d < e.deadline; });
-    const auto pos = static_cast<std::size_t>(it - entries_.begin());
-    entries_.insert(it, Entry{deadline, eta, 0.0, 0.0});
-    double run = pos == 0 ? 0.0 : entries_[pos - 1].peeled_prefix;
-    for (std::size_t i = pos; i < entries_.size(); ++i) {
-      if (entries_[i].active_eta == 0.0) run += entries_[i].eta;
-      entries_[i].peeled_prefix = run;
-    }
+    entries_.insert(it, Entry{deadline, eta, 0.0, eta});
   }
 
   const std::vector<Entry>& entries() const { return entries_; }
@@ -96,20 +103,22 @@ struct PulledEntry {
 };
 
 /// Caller-owned state of one probe lane.  Owned by exactly one concurrent
-/// probe at a time, and its previous contents are reused two ways: the
+/// probe at a time, and its previous contents are reused three ways: the
 /// sorted order of the last probe seeds the next probe's sort (consecutive
 /// levels move deadlines smoothly, so the order is usually already right
-/// and the O(n log n) sort degenerates to an O(n) validation), and the
-/// bottleneck step reuses the lane that probed the last infeasible level
-/// instead of recomputing every deadline from scratch.  Everything here is
-/// indexed by position among the *moving* jobs.
+/// and the O(n log n) sort degenerates to an O(n) validation), a probe at
+/// the level the lane last completed takes its deadlines and sorted pairs
+/// as they are, and the bottleneck step reuses the lane that probed the
+/// last infeasible level instead of recomputing every deadline from
+/// scratch.  Everything here is indexed by position among the *moving*
+/// jobs.
 struct ProbeScratch {
   /// (deadline, eta) of the moving jobs, sorted — what the EDF walk merges
   /// into the timeline.
   DeadlineDemand pairs;
   /// Moving-job indices in the order `pairs` was last built: always a
   /// permutation of [0, order.size()).  It survives across layers —
-  /// erase_from_order() remaps it when a moving job is peeled — so a new
+  /// erase_moving() remaps it when a moving job is peeled — so a new
   /// layer's first probe repairs the previous layer's order instead of
   /// sorting from scratch.
   std::vector<std::uint32_t> order;
@@ -126,36 +135,47 @@ struct ProbeScratch {
   /// First moving index whose deadline was unreachable (kNoIndex if none);
   /// when set, `deadlines` past it and `pairs` are not populated.
   std::size_t first_unreachable = kNoIndex;
+  /// Every moving job's deadline at `level` is in `deadlines`, and `pairs`
+  /// holds them sorted along `order`.  Peels keep this true
+  /// (erase_moving); a probe over another job set must clear it.
   bool complete = false;
 };
 
-/// Keeps a lane's deadline order valid when moving index `erased` leaves a
-/// moving set of `n` jobs: drops the index and shifts the later ones down,
-/// preserving the relative order of the rest in one O(n) pass.  An order
-/// built over a different set (an unused lane) is cleared instead; the next
-/// probe rebuilds it.
-void erase_from_order(std::vector<std::uint32_t>& order, std::size_t n,
-                      std::size_t erased) {
+/// Keeps a lane valid when moving index `erased` leaves a moving set of `n`
+/// jobs: drops the index from the deadline order and shifts the later ones
+/// down, preserving the relative order of the rest in one O(n) pass, and a
+/// complete lane drops the job's deadline and sorted pair too, so a probe
+/// at the same level can reuse them.  A lane built over a different set (an
+/// unused lane) is cleared instead; the next probe rebuilds it.
+void erase_moving(ProbeScratch& lane, std::size_t n, std::size_t erased) {
+  std::vector<std::uint32_t>& order = lane.order;
   if (order.size() != n) {
     order.clear();
+    lane.complete = false;
     return;
   }
+  const bool complete = lane.complete;
   std::size_t w = 0;
-  for (const std::uint32_t i : order) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint32_t i = order[j];
     if (i == erased) continue;
+    if (complete) lane.pairs[w] = lane.pairs[j];
     order[w++] = i > erased ? i - 1 : i;
   }
   order.resize(w);
+  if (complete) {
+    lane.pairs.resize(w);
+    lane.deadlines.erase(lane.deadlines.begin() + static_cast<std::ptrdiff_t>(erased));
+  }
 }
 
 /// Deadline of job `j` for utility level L, compensated by R_i when asked.
 /// Returns kUnreachable when L cannot be achieved at any time >= now.
-Seconds deadline_for_level(const TasJob& j, Utility level, Seconds now, Seconds horizon,
-                           bool compensate) {
-  Seconds d = j.utility->inverse(level, horizon);
+Seconds deadline_for_level(const TasJob& j, Utility level, const PeelContext& ctx) {
+  Seconds d = j.utility->inverse(level, ctx.horizon);
   if (d == kUnreachable) return kUnreachable;
-  if (compensate) d -= j.avg_task_runtime;
-  if (d < now) return kUnreachable;  // cannot finish in the past
+  if (ctx.compensate) d -= j.avg_task_runtime;
+  if (d < ctx.now) return kUnreachable;  // cannot finish in the past
   return d;
 }
 
@@ -178,7 +198,7 @@ void walk_edf(const DeadlineDemand& moving, const EdfTimeline& timeline, Check&&
   // form bit-for-bit.
   const std::vector<EdfTimeline::Entry>& fixed = timeline.entries();
   units::ContainerSeconds load(0.0);
-  double peeled = 0.0;
+  units::ContainerSeconds peeled(0.0);
   std::size_t i = 0;
   std::size_t q = 0;
   const std::size_t a = moving.size();
@@ -194,26 +214,42 @@ void walk_edf(const DeadlineDemand& moving, const EdfTimeline& timeline, Check&&
       const EdfTimeline::Entry& e = fixed[q++];
       d = e.deadline;
       load += units::ContainerSeconds(e.active_eta);
-      peeled = e.peeled_prefix;
+      peeled += units::ContainerSeconds(e.peeled_eta);
     }
-    if (!check(d, load + units::ContainerSeconds(peeled))) return;
+    if (!check(d, load + peeled)) return;
   }
 }
 
 /// Every distinct deadline d's total due demand must fit in
 /// capacity * (d - now).  Returns the first violated deadline, or
-/// kNoViolation when every constraint holds.
-Seconds first_edf_violation(const DeadlineDemand& moving, const EdfTimeline& timeline,
-                            ContainerCount capacity, Seconds now) {
-  const units::Containers supply_rate(capacity);
+/// kNoViolation when every constraint holds.  The walk stops after the
+/// first entry whose supply reaches `bound`: supply never decreases along
+/// the walk and no due exceeds the bound, so no later entry can violate.
+Seconds edf_violation_within(const DeadlineDemand& moving, const EdfTimeline& timeline,
+                             const PeelContext& ctx, units::ContainerSeconds bound) {
+  const units::Containers supply_rate(ctx.capacity);
   Seconds violated = kNoViolation;
   walk_edf(moving, timeline, [&](Seconds d, units::ContainerSeconds due) {
-    if (due > supply_rate * units::Seconds(d - now) + units::ContainerSeconds(kEdfSlack)) {
+    const units::ContainerSeconds supply = supply_rate * units::Seconds(d - ctx.now);
+    if (due > supply + units::ContainerSeconds(kEdfSlack)) {
       violated = d;
       return false;
     }
-    return true;
+    return supply < bound;
   });
+  return violated;
+}
+
+Seconds first_edf_violation(const DeadlineDemand& moving, const EdfTimeline& timeline,
+                            const PeelContext& ctx) {
+  const Seconds violated = edf_violation_within(moving, timeline, ctx, ctx.demand_bound);
+  if constexpr (kDcheckEnabled) {
+    const units::ContainerSeconds unbounded(std::numeric_limits<double>::infinity());
+    ensure(std::bit_cast<std::uint64_t>(
+               edf_violation_within(moving, timeline, ctx, unbounded)) ==
+               std::bit_cast<std::uint64_t>(violated),
+           "first_edf_violation: the demand bound changed the first violation");
+  }
   return violated;
 }
 
@@ -282,42 +318,79 @@ void sort_deadlines(const std::vector<const TasJob*>& moving, ProbeScratch& scra
 /// Minimum EDF slack over every constraint: min over deadlines d of
 /// capacity * (d - now) - due(d).  The level is feasible exactly when the
 /// minimum stays above -kEdfSlack — the same comparisons first_edf_violation
-/// makes, just without the early exit — and its magnitude tells the
-/// warm-start root finder how far the probed level sits from binding.
-/// `binding` (optional) receives the deadline attaining the minimum.
-double edf_min_slack(const DeadlineDemand& moving, const EdfTimeline& timeline,
-                     ContainerCount capacity, Seconds now, Seconds* binding) {
+/// makes, just without the early exit at a violation — and its magnitude
+/// tells the warm-start root finder how far the probed level sits from
+/// binding.  `binding` receives the deadline attaining the minimum.  The
+/// walk stops once supply - bound exceeds the minimum: supply never
+/// decreases along the walk, no due exceeds the bound and rounding is
+/// monotone, so every later slack is larger still.
+double edf_min_slack_within(const DeadlineDemand& moving, const EdfTimeline& timeline,
+                            const PeelContext& ctx, units::ContainerSeconds bound,
+                            Seconds& binding) {
   // The slack (supply minus demand) is itself a ContainerSeconds quantity
   // until the very last unwrap for the caller's root finder.
-  const units::Containers supply_rate(capacity);
+  const units::Containers supply_rate(ctx.capacity);
   double min_slack = std::numeric_limits<double>::infinity();
-  Seconds min_deadline = kNoViolation;
+  binding = kNoViolation;
   walk_edf(moving, timeline, [&](Seconds d, units::ContainerSeconds due) {
-    const double slack = (supply_rate * units::Seconds(d - now) - due).value();
+    const units::ContainerSeconds supply = supply_rate * units::Seconds(d - ctx.now);
+    const double slack = (supply - due).value();
     if (slack < min_slack) {
       min_slack = slack;
-      min_deadline = d;
+      binding = d;
     }
-    return true;
+    return (supply - bound).value() <= min_slack;
   });
-  if (binding != nullptr) *binding = min_deadline;
+  return min_slack;
+}
+
+double edf_min_slack(const DeadlineDemand& moving, const EdfTimeline& timeline,
+                     const PeelContext& ctx, Seconds& binding) {
+  const double min_slack =
+      edf_min_slack_within(moving, timeline, ctx, ctx.demand_bound, binding);
+  if constexpr (kDcheckEnabled) {
+    Seconds full_binding = kNoViolation;
+    const double full = edf_min_slack_within(
+        moving, timeline, ctx,
+        units::ContainerSeconds(std::numeric_limits<double>::infinity()), full_binding);
+    ensure(std::bit_cast<std::uint64_t>(full) == std::bit_cast<std::uint64_t>(min_slack) &&
+               std::bit_cast<std::uint64_t>(full_binding) ==
+                   std::bit_cast<std::uint64_t>(binding),
+           "edf_min_slack: the demand bound changed the minimum slack");
+  }
   return min_slack;
 }
 
 /// Fills the lane with every moving job's deadline at `level` and sorts
 /// them; false (with `first_unreachable` set) when some moving job cannot
-/// reach the level.
-bool sort_level(const std::vector<const TasJob*>& moving, Seconds now, Seconds horizon,
-                bool compensate, Utility level, std::uint64_t layer_epoch,
-                ProbeScratch& scratch) {
+/// reach the level.  A lane that last completed this same level already
+/// holds exactly that: peels since then only dropped jobs from it
+/// (erase_moving), so the probe skips every inverse and the sort.
+bool sort_level(const std::vector<const TasJob*>& moving, const PeelContext& ctx,
+                Utility level, std::uint64_t layer_epoch, ProbeScratch& scratch) {
   const std::size_t n = moving.size();
-  scratch.level = level;
   scratch.layer_epoch = layer_epoch;
+  if (scratch.complete && scratch.level == level) {
+    if constexpr (kDcheckEnabled) {
+      ensure(scratch.deadlines.size() == n && scratch.pairs.size() == n &&
+                 scratch.order.size() == n,
+             "sort_level: reused lane is over another job set");
+      for (std::size_t j = 0; j < n; ++j) {
+        const std::uint32_t i = scratch.order[j];
+        ensure(std::bit_cast<std::uint64_t>(deadline_for_level(*moving[i], level, ctx)) ==
+                       std::bit_cast<std::uint64_t>(scratch.deadlines[i]) &&
+                   scratch.pairs[j] == std::make_pair(scratch.deadlines[i], moving[i]->eta),
+               "sort_level: reused lane differs from its level's deadlines");
+      }
+    }
+    return true;
+  }
+  scratch.level = level;
   scratch.first_unreachable = kNoIndex;
   scratch.complete = false;
   scratch.deadlines.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const Seconds d = deadline_for_level(*moving[i], level, now, horizon, compensate);
+    const Seconds d = deadline_for_level(*moving[i], level, ctx);
     scratch.deadlines[i] = d;
     if (d == kUnreachable) {
       scratch.first_unreachable = i;
@@ -334,11 +407,10 @@ bool sort_level(const std::vector<const TasJob*>& moving, Seconds now, Seconds h
 /// timeline.  Pure apart from `scratch`, the caller-owned per-lane buffer —
 /// safe to evaluate concurrently with other lanes' probes.
 bool probe_level(const std::vector<const TasJob*>& moving, const EdfTimeline& timeline,
-                 ContainerCount capacity, Seconds now, Seconds horizon,
-                 bool compensate, Utility level, std::uint64_t layer_epoch,
+                 const PeelContext& ctx, Utility level, std::uint64_t layer_epoch,
                  ProbeScratch& scratch) {
-  return sort_level(moving, now, horizon, compensate, level, layer_epoch, scratch) &&
-         first_edf_violation(scratch.pairs, timeline, capacity, now) == kNoViolation;
+  return sort_level(moving, ctx, level, layer_epoch, scratch) &&
+         first_edf_violation(scratch.pairs, timeline, ctx) == kNoViolation;
 }
 
 /// Slack-valued variant of probe_level for the warm-start root finder:
@@ -347,15 +419,14 @@ bool probe_level(const std::vector<const TasJob*>& moving, const EdfTimeline& ti
 /// the job).  `binding` receives the binding deadline (kNoViolation when
 /// unreachable).  Fills `scratch` identically to probe_level.
 double probe_level_slack(const std::vector<const TasJob*>& moving,
-                         const EdfTimeline& timeline, ContainerCount capacity,
-                         Seconds now, Seconds horizon, bool compensate,
+                         const EdfTimeline& timeline, const PeelContext& ctx,
                          Utility level, std::uint64_t layer_epoch,
-                         ProbeScratch& scratch, Seconds* binding) {
-  if (!sort_level(moving, now, horizon, compensate, level, layer_epoch, scratch)) {
-    if (binding != nullptr) *binding = kNoViolation;
+                         ProbeScratch& scratch, Seconds& binding) {
+  if (!sort_level(moving, ctx, level, layer_epoch, scratch)) {
+    binding = kNoViolation;
     return -std::numeric_limits<double>::infinity();
   }
-  return edf_min_slack(scratch.pairs, timeline, capacity, now, binding);
+  return edf_min_slack(scratch.pairs, timeline, ctx, binding);
 }
 
 }  // namespace
@@ -408,6 +479,20 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
   }
   result.horizon = horizon;
 
+  // Every `due` a walk computes is a rounded left fold of a subset of the n
+  // non-negative etas summed into total_eta, so (relative rounding unit u =
+  // DBL_EPSILON / 2) it is at most exact * (1 + u)^n, while total_eta is at
+  // least exact * (1 - u)^n: 4(n+1)·DBL_EPSILON covers the gap with room
+  // for the product's own rounding.
+  PeelContext ctx;
+  ctx.capacity = capacity;
+  ctx.now = now;
+  ctx.horizon = horizon;
+  ctx.compensate = config.compensate_runtime;
+  ctx.demand_bound =
+      total_eta * (1.0 + 4.0 * static_cast<double>(active.size() + 1) *
+                             std::numeric_limits<double>::epsilon());
+
   // Split the active set once (DESIGN.md §5d).  A job whose deadline is the
   // same at level 0 and at its level cap holds that deadline at every level
   // a probe asks for: inverse is non-increasing and no probe exceeds the
@@ -423,10 +508,10 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
     DeadlineDemand fixed_pairs;
     for (std::size_t i = 0; i < active.size(); ++i) {
       const TasJob& j = *active[i];
-      const Seconds d = deadline_for_level(j, 0.0, now, horizon, config.compensate_runtime);
+      const Seconds d = deadline_for_level(j, 0.0, ctx);
       const bool fixed =
           d != kUnreachable &&
-          d == deadline_for_level(j, cap_of[i], now, horizon, config.compensate_runtime);
+          d == deadline_for_level(j, cap_of[i], ctx);
       fixed_at.push_back(fixed ? d : kUnreachable);
       if (fixed) {
         fixed_pairs.emplace_back(d, j.eta);
@@ -455,7 +540,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
     auto slot = std::lower_bound(moving_at.begin(), moving_at.end(), index);
     if (fixed_at[index] == kUnreachable) {
       const auto m = static_cast<std::size_t>(slot - moving_at.begin());
-      for (ProbeScratch& lane : scratch) erase_from_order(lane.order, moving.size(), m);
+      for (ProbeScratch& lane : scratch) erase_moving(lane, moving.size(), m);
       moving.erase(moving.begin() + static_cast<std::ptrdiff_t>(m));
       slot = moving_at.erase(slot);
     }
@@ -478,8 +563,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
 
   const auto feasible = [&](Utility level) {
     ++result.probes;
-    return probe_level(moving, timeline, capacity, now, horizon,
-                       config.compensate_runtime, level, layer_epoch, scratch[0]);
+    return probe_level(moving, timeline, ctx, level, layer_epoch, scratch[0]);
   };
 
   // Level 0 is always feasible with the automatic horizon: every inverse
@@ -489,8 +573,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
 
   const auto peel_job = [&](std::size_t index, Utility level) {
     const TasJob& job = *active[index];
-    const Seconds d =
-        deadline_for_level(job, level, now, horizon, config.compensate_runtime);
+    const Seconds d = deadline_for_level(job, level, ctx);
     ensure(d != kUnreachable, "onion_peel: peeling at unreachable level");
     TasTarget t;
     t.id = job.id;
@@ -574,8 +657,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
           if (repriced > 0.0) level = repriced;
         }
         level = std::max(level, run_level);
-        const Seconds d =
-            deadline_for_level(job, level, now, horizon, config.compensate_runtime);
+        const Seconds d = deadline_for_level(job, level, ctx);
         if (d == kUnreachable) break;  // carried level no longer achievable
         prefix.push_back({index, level, d});
         tentative.peel(kUnreachable, job.eta, d);
@@ -590,19 +672,23 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
         // EDF condition intact on replayed results.  Infeasible => abandon
         // wholesale and peel everything.  The run level may exceed a
         // remaining job's cap, where its "fixed" deadline no longer holds,
-        // so every remaining job probes as moving; the lane's order is over
-        // that other set, so it is dropped on both sides of the probe.
+        // so every remaining job probes as moving.  The lane's order and
+        // deadlines are then over that other set, so the lane is
+        // invalidated on both sides of the probe: neither the order repair
+        // nor a same-level reuse may carry them across.
         std::vector<const TasJob*> remaining;
         for (std::size_t i = 0; i < active.size(); ++i) {
           if (used[i] == 0) remaining.push_back(active[i]);
         }
         ++result.probes;
-        scratch[0].order.clear();
+        const auto invalidate = [](ProbeScratch& lane) {
+          lane.order.clear();
+          lane.complete = false;
+        };
+        invalidate(scratch[0]);
         const bool certified =
-            probe_level(remaining, tentative, capacity, now, horizon,
-                        config.compensate_runtime, run_level, layer_epoch,
-                        scratch[0]);
-        scratch[0].order.clear();
+            probe_level(remaining, tentative, ctx, run_level, layer_epoch, scratch[0]);
+        invalidate(scratch[0]);
         if (certified) {
           for (const Tentative& p : prefix) {
             const TasJob& job = *active[p.index];
@@ -746,11 +832,8 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
       Seconds probe_binding = kNoViolation;
       const auto slack_probe = [&](Utility level) {
         ++result.probes;
-        const double s =
-            probe_level_slack(moving, timeline, capacity, now, horizon,
-                              config.compensate_runtime, level, layer_epoch,
-                              scratch[0], &probe_binding);
-        return s;
+        return probe_level_slack(moving, timeline, ctx, level, layer_epoch, scratch[0],
+                                 probe_binding);
       };
       // Level at which job j's deadline crosses absolute time t: its
       // deadline is U^{-1}(L) - comp, so the crossing level is U(t + comp).
@@ -1032,11 +1115,8 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
       }
       result.probes += k;
       const auto run_probe = [&](std::size_t j) {
-        level_ok[j] = probe_level(moving, timeline, capacity, now, horizon,
-                                  config.compensate_runtime, levels[j], layer_epoch,
-                                  scratch[j])
-                          ? 1
-                          : 0;
+        level_ok[j] =
+            probe_level(moving, timeline, ctx, levels[j], layer_epoch, scratch[j]) ? 1 : 0;
       };
       if (config.pool != nullptr) {
         config.pool->parallel_for(static_cast<std::size_t>(k), run_probe);
@@ -1078,16 +1158,14 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
         }
       }
       if (stash == nullptr) {
-        probe_level(moving, timeline, capacity, now, horizon,
-                    config.compensate_runtime, probe, layer_epoch, scratch[0]);
+        probe_level(moving, timeline, ctx, probe, layer_epoch, scratch[0]);
         stash = &scratch[0];
       }
       if (!stash->complete) {
         bottleneck = moving_at[stash->first_unreachable];
         found = true;
       } else {
-        const Seconds violation =
-            first_edf_violation(stash->pairs, timeline, capacity, now);
+        const Seconds violation = first_edf_violation(stash->pairs, timeline, ctx);
         const Seconds violated_at = violation == kNoViolation ? horizon : violation;
         Seconds best = -1.0;
         for_each_deadline(*stash, [&](std::size_t i, Seconds d) {
