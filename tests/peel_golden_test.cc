@@ -22,6 +22,11 @@
 // (deadline, eta) ties between constant jobs and sigmoids clamped at an
 // explicit horizon, an explicit horizon no constant job can meet, a replay
 // certificate over exactly the moving jobs, and the pooled k-section path.
+// They also pin the EDF walk's early exits and lane reuse: a horizon at
+// which no entry's supply exceeds the whole demand (no walk stops early), a
+// front-loaded set whose first EDF entry already violates, and a replayed
+// prefix followed by degenerate layers that probe the certificate's level
+// again.
 //
 // The frozen values were recorded with the full stable-sort peel that the
 // merge repair replaced.  A mismatch means the plan changed; the failure
