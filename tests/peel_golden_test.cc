@@ -28,6 +28,12 @@
 // prefix followed by degenerate layers that probe the certificate's level
 // again.
 //
+// The tie-break cases pin every lookup the peel answers by a lowest-input-
+// position rule: long runs of equal level caps, constant jobs with
+// identical (deadline, eta), a moving and a fixed job on the binding
+// deadline of a warm probe and on the bottleneck's latest deadline, and
+// warm hints and replayed layers that name departed and zero-demand jobs.
+//
 // The frozen values were recorded with the full stable-sort peel that the
 // merge repair replaced.  A mismatch means the plan changed; the failure
 // message prints the new digest.  Only refreeze after proving the change intended.  The digests
@@ -148,6 +154,15 @@ enum class Shape {
   /// few later ones: at most probed levels the earliest EDF deadline alone
   /// already carries more demand than the capacity can serve by it.
   kFrontLoaded,
+  /// Five shared curves (two constants, a step and a linear whose caps equal
+  /// the constants', and a sigmoid), two etas and two runtimes: long runs
+  /// of equal level caps, and constant jobs with identical (deadline, eta).
+  kEqualCaps,
+  /// Constant jobs, and sigmoids and linears whose deadline sits at the
+  /// explicit horizon at low levels, on two runtimes: a moving and a fixed
+  /// job share the binding deadline and the bottleneck's latest deadline.
+  /// Needs an explicit horizon.
+  kSharedDeadlines,
 };
 
 /// A TAS instance that owns its utility curves.
@@ -157,7 +172,8 @@ struct Instance {
 };
 
 /// `horizon` is the explicit horizon the instance is peeled with (0 when the
-/// peel picks it); only kClampedTies places budgets relative to it.
+/// peel picks it); only kClampedTies and kSharedDeadlines place budgets
+/// relative to it.
 Instance make_instance(Shape shape, int count, Seconds now, Seconds horizon, Rng& rng) {
   Instance inst;
   for (int i = 0; i < count; ++i) {
@@ -262,6 +278,41 @@ Instance make_instance(Shape shape, int count, Seconds now, Seconds horizon, Rng
             budget, rng.uniform(1.0, 5.0), rng.uniform(0.05, 0.8)));
         job.eta = early ? rng.uniform(400.0, 3000.0) : rng.uniform(20.0, 300.0);
         job.avg_task_runtime = rng.uniform(1.0, 8.0);
+        break;
+      }
+      case Shape::kEqualCaps: {
+        const int curve = static_cast<int>(rng.uniform_int(0, 4));
+        if (curve <= 1) {
+          inst.utilities.push_back(std::make_unique<ConstantUtility>(1.0 + curve));
+        } else if (curve == 2) {
+          inst.utilities.push_back(std::make_unique<StepUtility>(now + 250.0, 1.0));
+        } else if (curve == 3) {
+          // Cap beta * budget + W = 2.0 at `now`, the second constant's.
+          inst.utilities.push_back(std::make_unique<LinearUtility>(now + 100.0, 1.0, 0.01));
+        } else {
+          inst.utilities.push_back(std::make_unique<SigmoidUtility>(now + 300.0, 2.0, 0.05));
+        }
+        job.eta = rng.uniform_int(0, 11) == 0 ? 0.0 : 150.0 * static_cast<double>(rng.uniform_int(1, 2));
+        job.avg_task_runtime = rng.uniform_int(0, 1) == 0 ? 10.0 : 25.0;
+        break;
+      }
+      case Shape::kSharedDeadlines: {
+        const int kind = static_cast<int>(rng.uniform_int(0, 4));
+        const Priority priority = rng.uniform(0.5, 3.0);
+        if (kind <= 1) {
+          inst.utilities.push_back(std::make_unique<ConstantUtility>(priority));
+        } else if (kind == 2) {
+          inst.utilities.push_back(std::make_unique<SigmoidUtility>(
+              horizon - rng.uniform(0.0, 60.0), priority, 0.05));
+        } else if (kind == 3) {
+          inst.utilities.push_back(std::make_unique<LinearUtility>(
+              horizon - rng.uniform(0.0, 60.0), priority, 0.01));
+        } else {
+          inst.utilities.push_back(std::make_unique<SigmoidUtility>(
+              now + rng.uniform(60.0, 600.0), priority, 0.05));
+        }
+        job.eta = rng.uniform_int(0, 1) == 0 ? 200.0 : 400.0;
+        job.avg_task_runtime = rng.uniform_int(0, 1) == 0 ? 5.0 : 30.0;
         break;
       }
     }
@@ -700,6 +751,197 @@ TEST(PeelGolden, ReplayPrefixThenDegenerateLayers) {
       EXPECT_EQ(d.get(), serial.get()) << "pooled";
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// onion_peel tie-breaks: equal level caps, identical fixed entries, moving
+// and fixed jobs on one binding or bottleneck deadline, hints and replayed
+// layers that name departed and zero-demand jobs
+// ---------------------------------------------------------------------------
+
+struct TieBreakCase {
+  const char* name;
+  Shape shape;
+  int jobs;
+  ContainerCount capacity;
+  int section_probes;
+  std::uint64_t seed;
+  /// Explicit horizon after t0 (0 = automatic).
+  Seconds horizon_after;
+  /// Rescale the etas so the demand exactly fills the supply up to the
+  /// explicit horizon's latest deadline, at t0 and again at t1: level 0
+  /// then binds at horizon - min R_i, where constant and clamped jobs meet.
+  bool fill_horizon;
+  std::uint64_t cold;
+  std::uint64_t drifted;
+  std::uint64_t warm;
+  std::uint64_t replay;
+};
+
+void fill_to_horizon(std::vector<TasJob>& jobs, ContainerCount capacity, Seconds now,
+                     Seconds horizon) {
+  const auto [total, min_runtime] = demand_of(jobs);
+  const double scale = static_cast<double>(capacity) * (horizon - min_runtime - now) / total;
+  for (TasJob& job : jobs) job.eta *= scale;
+}
+
+PeelDigests run_tie_break(const TieBreakCase& c, ThreadPool* pool) {
+  Rng rng(c.seed);
+  const Seconds t0 = rng.uniform(0.0, 100.0);
+  const Seconds horizon = c.horizon_after > 0.0 ? t0 + c.horizon_after : 0.0;
+  Instance inst = make_instance(c.shape, c.jobs, t0, horizon, rng);
+  if (c.fill_horizon) fill_to_horizon(inst.jobs, c.capacity, t0, horizon);
+
+  OnionPeelingConfig config;
+  config.section_probes = c.section_probes;
+  config.horizon = horizon;
+  config.pool = pool;
+  PeelDigests out;
+  const TasResult first = onion_peel(inst.jobs, c.capacity, t0, config);
+  Digest d0;
+  add_tas(d0, first);
+  out.cold = d0.get();
+
+  // One event later: about one job in eight has departed and one in eight
+  // has drained to zero demand, while the first peel's hint and layers
+  // still name them; one in ten moves beyond the replay tolerance and the
+  // rest drain with jitter.
+  const Seconds t1 = t0 + rng.uniform(1.0, 8.0);
+  std::vector<TasJob> jobs;
+  std::vector<JobId> moved;
+  for (TasJob job : inst.jobs) {
+    const auto fate = rng.uniform_int(0, 39);
+    if (fate < 5) continue;
+    if (fate < 10) {
+      job.eta = 0.0;
+    } else if (fate < 14 && job.eta > 0.0) {
+      job.eta *= rng.uniform(0.5, 0.8);
+      moved.push_back(job.id);
+    } else {
+      job.eta *= rng.uniform(0.98, 1.0);
+    }
+    jobs.push_back(job);
+  }
+  if (c.fill_horizon) fill_to_horizon(jobs, c.capacity, t1, horizon);
+
+  const TasResult drifted = onion_peel(jobs, c.capacity, t1, config);
+  Digest d1;
+  add_tas(d1, drifted);
+  out.drifted = d1.get();
+
+  OnionPeelingConfig warm = config;
+  warm.warm_hint = &first.hint;
+  const TasResult warmed = onion_peel(jobs, c.capacity, t1, warm);
+  Digest d2;
+  add_tas(d2, warmed);
+  out.warm = d2.get();
+  Digest cold_targets;
+  Digest warm_targets;
+  add_targets(cold_targets, drifted);
+  add_targets(warm_targets, warmed);
+  EXPECT_EQ(cold_targets.get(), warm_targets.get()) << c.name;
+
+  PeelReplay replay;
+  replay.targets = &first.targets;
+  replay.moved = &moved;  // ids ascend with job index, so already sorted
+  replay.tolerance = 0.05;
+  OnionPeelingConfig replayed = warm;
+  replayed.replay = &replay;
+  Digest d3;
+  add_tas(d3, onion_peel(jobs, c.capacity, t1, replayed));
+  out.replay = d3.get();
+  return out;
+}
+
+const TieBreakCase kTieBreakCases[] = {
+    // name, shape, jobs, capacity, k, seed, horizon after t0, fill,
+    // cold, drifted, warm, replay
+    {"equal-caps-60-k4", Shape::kEqualCaps, 60, 16, 4, 81, 0.0, false,
+     0x92d0206eafdce0d1, 0x27ad95ea7a872475,
+     0x8e8934eee66c08ab, 0xbf49d32cd86efb73},
+    {"equal-caps-200-k1", Shape::kEqualCaps, 200, 48, 1, 82, 0.0, false,
+     0xa26a663744976b45, 0x865dd423a428b1aa,
+     0xca654bfb4f509646, 0x6a173a12a7bf7a64},
+    {"equal-caps-120-k4-horizon", Shape::kEqualCaps, 120, 32, 4, 83, 4000.0, false,
+     0x8f36f77259181cae, 0x1951fb2d638fc3f2,
+     0x8513d3cc9d795604, 0x4c68378cd4e00392},
+    {"shared-deadlines-60-k4", Shape::kSharedDeadlines, 60, 16, 4, 84, 3000.0, true,
+     0xb2f80a54c4e9748a, 0xf7c08d3ca819b884,
+     0x6d1cf152331b63e2, 0xba08fc7818cdec3d},
+    {"shared-deadlines-200-k1", Shape::kSharedDeadlines, 200, 48, 1, 85, 3000.0, true,
+     0x262b2e94cdc33fe6, 0xcecaf700ec899c59,
+     0xd18a82ee504a96e7, 0xd18a82ee504a96e7},
+    {"shared-deadlines-120-k4-slack", Shape::kSharedDeadlines, 120, 32, 4, 86, 3000.0, false,
+     0x99e399d40c8b68e9, 0xd78fcf8a385f3bf9,
+     0x67e2d573df6c4440, 0xa560c6ffbafe1337},
+};
+
+/// Three jobs on one container whose bottleneck probe finds a fixed and a
+/// moving job at the violated deadline.  A (constant) and B (a sigmoid
+/// whose deadline sits at the horizon below level ~4.97) share the deadline
+/// H - 10; the demand fills the supply up to H - 5.  At level 0 the step
+/// job D also sits at the horizon (H - 5) and everything fits; at any
+/// positive level D moves to its budget, so the demand due by H - 10 is the
+/// whole demand and that deadline is the first violated.  The latest
+/// deadline inside the violating prefix is then A's and B's.
+TasResult peel_bottleneck_tie(bool moving_first, int section_probes, Seconds now,
+                              const PeelHint* hint, ThreadPool* pool) {
+  const Seconds t0 = 10.0;
+  const Seconds horizon = t0 + 1000.0;
+  ConstantUtility a(1.0);
+  SigmoidUtility b(horizon + 5000.0, 5.0, 0.001);
+  StepUtility step(t0 + 980.0, 2.0);
+  std::vector<TasJob> jobs = {{1, 400.0, 10.0, &a}, {2, 300.0, 10.0, &b}, {3, 295.0, 5.0, &step}};
+  if (moving_first) std::swap(jobs[0], jobs[1]);
+  fill_to_horizon(jobs, 1, now, horizon);
+  OnionPeelingConfig config;
+  config.section_probes = section_probes;
+  config.horizon = horizon;
+  config.pool = pool;
+  config.warm_hint = hint;
+  return onion_peel(jobs, 1, now, config);
+}
+
+TEST(PeelGolden, IndexTieBreakDigestsAreFrozen) {
+  ThreadPool pool(3);
+  for (const TieBreakCase& c : kTieBreakCases) {
+    for (ThreadPool* lanes : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const PeelDigests got = run_tie_break(c, lanes);
+      const std::string label = std::string(c.name) + (lanes != nullptr ? " pooled" : "");
+      EXPECT_EQ(got.cold, c.cold) << label << " cold: now " << hex(got.cold);
+      EXPECT_EQ(got.drifted, c.drifted) << label << " drifted: now " << hex(got.drifted);
+      EXPECT_EQ(got.warm, c.warm) << label << " warm: now " << hex(got.warm);
+      EXPECT_EQ(got.replay, c.replay) << label << " replay: now " << hex(got.replay);
+    }
+  }
+
+  // The bottleneck tie goes to the job first in the input, fixed or moving,
+  // cold and warm, serial and pooled.
+  Digest serial;
+  Digest pooled;
+  for (const bool moving_first : {false, true}) {
+    for (const int k : {1, 4}) {
+      for (ThreadPool* lanes : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        const TasResult first = peel_bottleneck_tie(moving_first, k, 10.0, nullptr, lanes);
+        const TasResult warm = peel_bottleneck_tie(moving_first, k, 12.5, &first.hint, lanes);
+        const TasResult cold = peel_bottleneck_tie(moving_first, k, 12.5, nullptr, lanes);
+        const JobId expected = moving_first ? 2 : 1;
+        EXPECT_EQ(first.targets.front().id, expected) << "moving first " << moving_first;
+        EXPECT_EQ(warm.targets.front().id, expected) << "moving first " << moving_first;
+        Digest cold_targets;
+        Digest warm_targets;
+        add_targets(cold_targets, cold);
+        add_targets(warm_targets, warm);
+        EXPECT_EQ(cold_targets.get(), warm_targets.get()) << "moving first " << moving_first;
+        Digest& d = lanes == nullptr ? serial : pooled;
+        add_tas(d, first);
+        add_tas(d, warm);
+        add_tas(d, cold);
+      }
+    }
+  }
+  EXPECT_EQ(serial.get(), 0xf1f1be734dbf43abULL) << "bottleneck tie: now " << hex(serial.get());
+  EXPECT_EQ(pooled.get(), serial.get()) << "bottleneck tie pooled";
 }
 
 // ---------------------------------------------------------------------------
