@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <tuple>
 #include <utility>
 
 #include "src/common/error.h"
@@ -18,6 +19,9 @@ constexpr Seconds kUnreachable = -std::numeric_limits<Seconds>::infinity();
 constexpr Seconds kNoViolation = std::numeric_limits<Seconds>::infinity();
 constexpr double kEdfSlack = 1e-9;
 constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+/// Owner of a peeled timeline entry (an active entry's owner is its job's
+/// input position).
+constexpr std::uint32_t kPeeledEntry = static_cast<std::uint32_t>(-1);
 
 /// (deadline, demand) pairs of the moving active jobs at some probed level.
 /// The pair's lexicographic operator< is the EDF sort key.
@@ -47,6 +51,11 @@ struct PeelContext {
 /// order a sort of all active jobs would; the walk folds the peeled demand
 /// left to right in this order, so neither sum depends on which jobs are
 /// moving (tests/peel_golden_test.cc pins both).
+///
+/// Each entry has an owner, kept in a parallel vector so the walk reads no
+/// more than it did: an active entry's owner is its job's input position,
+/// a peeled entry's is kPeeledEntry.  That makes the live fixed jobs
+/// searchable by deadline (binding job, bottleneck).
 class EdfTimeline {
  public:
   struct Entry {
@@ -59,40 +68,94 @@ class EdfTimeline {
     /// for an active one.
     ContainerSeconds peeled_eta;
   };
+  /// A fixed active job: its deadline, eta and input position.
+  struct Fixed {
+    Seconds deadline;
+    ContainerSeconds eta;
+    std::uint32_t job;
+    bool operator<(const Fixed& o) const {
+      return std::tie(deadline, eta, job) < std::tie(o.deadline, o.eta, o.job);
+    }
+  };
 
-  /// Starts the timeline from the fixed-deadline active jobs' pairs; any
-  /// order, sorted here.
-  void assign_active(DeadlineDemand fixed) {
-    std::sort(fixed.begin(), fixed.end());
+  /// Starts the timeline from the fixed-deadline active jobs; any order,
+  /// sorted here unless already sorted.  Ties in (deadline, eta) carry
+  /// identical values, so their order changes no sum.
+  void assign_active(std::vector<Fixed>& fixed) {
+    if (!std::is_sorted(fixed.begin(), fixed.end())) std::sort(fixed.begin(), fixed.end());
     entries_.clear();
-    entries_.reserve(fixed.size());
-    for (const auto& [deadline, eta] : fixed) entries_.push_back({deadline, eta, eta, 0.0});
+    owners_.clear();
+    for (const Fixed& f : fixed) {
+      entries_.push_back({f.deadline, f.eta, f.eta, 0.0});
+      owners_.push_back(f.job);
+    }
   }
 
   /// Records a job peeled at `deadline`.  A fixed-deadline active job
-  /// (`fixed_deadline` is its timeline deadline; kUnreachable for a moving
-  /// job) leaves its active entry first.
-  void peel(Seconds fixed_deadline, ContainerSeconds eta, Seconds deadline) {
-    if (fixed_deadline != kUnreachable) {
-      auto it = std::lower_bound(
-          entries_.begin(), entries_.end(), fixed_deadline,
-          [](const Entry& e, Seconds d) { return e.deadline < d; });
-      // Its own entry: same deadline and eta, still active (a peeled
-      // entry's active_eta is 0).
-      while (it != entries_.end() && it->active_eta != eta) ++it;
-      ensure(it != entries_.end(), "EdfTimeline::peel: no active entry to peel");
-      entries_.erase(it);
+  /// (`fixed_deadline` is its timeline deadline, `job` its input position;
+  /// kUnreachable for a moving job) leaves its active entry first.  A fixed
+  /// job peeled at its own deadline — the usual case — moves its entry to
+  /// the end of its deadline's run in place: one shift of the run instead
+  /// of an erase and an insert over the whole tail.
+  void peel(std::uint32_t job, Seconds fixed_deadline, ContainerSeconds eta, Seconds deadline) {
+    const Entry peeled{deadline, eta, 0.0, eta};
+    const auto to = static_cast<std::size_t>(
+        std::upper_bound(entries_.begin(), entries_.end(), deadline,
+                         [](Seconds d, const Entry& e) { return d < e.deadline; }) -
+        entries_.begin());
+    if (fixed_deadline == kUnreachable) {
+      entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(to), peeled);
+      owners_.insert(owners_.begin() + static_cast<std::ptrdiff_t>(to), kPeeledEntry);
+      return;
     }
-    const auto it = std::upper_bound(
-        entries_.begin(), entries_.end(), deadline,
-        [](Seconds d, const Entry& e) { return d < e.deadline; });
-    entries_.insert(it, Entry{deadline, eta, 0.0, eta});
+    std::size_t at = lower_bound(fixed_deadline);
+    while (at < entries_.size() && entries_[at].deadline == fixed_deadline &&
+           owners_[at] != job) {
+      ++at;
+    }
+    ensure(at < entries_.size() && owners_[at] == job,
+           "EdfTimeline::peel: no active entry to peel");
+    // Erasing `at` then inserting at upper_bound(deadline) of the shorter
+    // vector, done as one shift of the entries in between.
+    const auto e = entries_.begin();
+    const auto o = owners_.begin();
+    const auto a = static_cast<std::ptrdiff_t>(at);
+    const auto t = static_cast<std::ptrdiff_t>(to);
+    if (to > at) {
+      std::copy(e + a + 1, e + t, e + a);
+      std::copy(o + a + 1, o + t, o + a);
+      entries_[to - 1] = peeled;
+      owners_[to - 1] = kPeeledEntry;
+    } else {
+      std::copy_backward(e + t, e + a, e + a + 1);
+      std::copy_backward(o + t, o + a, o + a + 1);
+      entries_[to] = peeled;
+      owners_[to] = kPeeledEntry;
+    }
+  }
+
+  /// First entry whose deadline is not below `d`.
+  std::size_t lower_bound(Seconds d) const {
+    return static_cast<std::size_t>(
+        std::lower_bound(entries_.begin(), entries_.end(), d,
+                         [](const Entry& e, Seconds x) { return e.deadline < x; }) -
+        entries_.begin());
+  }
+  /// First entry whose deadline is above `d`.
+  std::size_t upper_bound(Seconds d) const {
+    return static_cast<std::size_t>(
+        std::upper_bound(entries_.begin(), entries_.end(), d,
+                         [](Seconds x, const Entry& e) { return x < e.deadline; }) -
+        entries_.begin());
   }
 
   const std::vector<Entry>& entries() const { return entries_; }
+  /// Owner of entry i: an input position, or kPeeledEntry.
+  std::uint32_t owner(std::size_t i) const { return owners_[i]; }
 
  private:
   std::vector<Entry> entries_;
+  std::vector<std::uint32_t> owners_;
 };
 
 /// An entry the deadline-order repair pulled out of its run: its key and
@@ -429,6 +492,57 @@ double probe_level_slack(const std::vector<const TasJob*>& moving,
   return edf_min_slack(scratch.pairs, timeline, ctx, binding);
 }
 
+/// Lowest input position among the live jobs whose deadline at the level
+/// `lane` (a complete lane) last probed is exactly `d`, or kNoIndex: the
+/// moving ones are a run of the lane's sorted pairs, the fixed ones a run
+/// of the timeline's active entries.
+std::size_t first_job_at(Seconds d, const ProbeScratch& lane,
+                         const std::vector<std::uint32_t>& moving_at,
+                         const EdfTimeline& timeline) {
+  std::size_t found = kNoIndex;
+  const DeadlineDemand& pairs = lane.pairs;
+  for (auto j = static_cast<std::size_t>(
+           std::lower_bound(pairs.begin(), pairs.end(), d,
+                            [](const auto& p, Seconds x) { return p.first < x; }) -
+           pairs.begin());
+       j < pairs.size() && pairs[j].first == d; ++j) {
+    found = std::min<std::size_t>(found, moving_at[lane.order[j]]);
+  }
+  const std::vector<EdfTimeline::Entry>& entries = timeline.entries();
+  for (std::size_t q = timeline.lower_bound(d); q < entries.size() && entries[q].deadline == d;
+       ++q) {
+    if (timeline.owner(q) != kPeeledEntry) found = std::min<std::size_t>(found, timeline.owner(q));
+  }
+  return found;
+}
+
+/// What one onion_peel call indexes, kept per thread across calls so that
+/// its buffers grow once per thread instead of being allocated on every
+/// call.  A call overwrites every field before it reads it.
+struct PeelWorkspace {
+  /// By input position among the jobs with positive demand (their order in
+  /// `jobs`): the job, its level cap, its fixed deadline (kUnreachable for
+  /// a moving job), and whether it is still unpeeled.
+  std::vector<const TasJob*> job;
+  std::vector<Utility> cap;
+  std::vector<Seconds> fixed_at;
+  std::vector<unsigned char> live;
+  /// (cap, position) pairs, sorted: the first live one is the job a scan
+  /// for the smallest cap finds first.
+  std::vector<std::pair<Utility, std::uint32_t>> cap_order;
+  /// (id, position) pairs, sorted: the first live pair of an id is the job
+  /// a scan of the active jobs finds first.
+  std::vector<std::pair<JobId, std::uint32_t>> by_id;
+  /// The moving jobs in position order, and their positions.
+  std::vector<const TasJob*> moving;
+  std::vector<std::uint32_t> moving_at;
+  std::vector<EdfTimeline::Fixed> fixed;
+  EdfTimeline timeline;
+  std::vector<ProbeScratch> lanes;
+  std::vector<Utility> levels;
+  std::vector<unsigned char> level_ok;
+};
+
 }  // namespace
 
 TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
@@ -437,12 +551,19 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
   require(config.tolerance > 0.0, "onion_peel: tolerance must be positive");
   require(config.section_probes >= 1, "onion_peel: section_probes must be >= 1");
 
+  thread_local PeelWorkspace ws;
   TasResult result;
-  std::vector<const TasJob*> active;
-  // Level cap of each active job — the utility of completing immediately —
-  // kept parallel to `active`.  `now` is fixed for the call, so each curve
-  // is evaluated once here instead of once per layer.
-  std::vector<Utility> cap_of;
+  result.targets.reserve(jobs.size());
+  // The jobs with positive demand by input position.  Peeling clears a
+  // job's `live` flag; positions never shift, so every per-job index below
+  // stays valid for the whole call.
+  std::vector<const TasJob*>& active = ws.job;
+  // Level cap of each job — the utility of completing immediately — by
+  // position.  `now` is fixed for the call, so each curve is evaluated once
+  // here instead of once per layer.
+  std::vector<Utility>& cap_of = ws.cap;
+  active.clear();
+  cap_of.clear();
   units::ContainerSeconds total_eta(0.0);
   Seconds max_runtime = 0.0;
   int layer = 0;
@@ -500,66 +621,119 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
   // utilities, curves clamped at the horizon) go into the timeline once;
   // probes invert, sort and repair the order of the moving jobs only.  A
   // job unreachable at level 0 stays moving, so probes still name it.
-  std::vector<Seconds> fixed_at;  // parallel to `active`; kUnreachable = moving
-  std::vector<const TasJob*> moving;
-  std::vector<std::uint32_t> moving_at;  // active index of each moving job
-  EdfTimeline timeline;
-  {
-    DeadlineDemand fixed_pairs;
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const TasJob& j = *active[i];
-      const Seconds d = deadline_for_level(j, 0.0, ctx);
-      const bool fixed =
-          d != kUnreachable &&
-          d == deadline_for_level(j, cap_of[i], ctx);
-      fixed_at.push_back(fixed ? d : kUnreachable);
-      if (fixed) {
-        fixed_pairs.emplace_back(d, j.eta);
-      } else {
-        moving.push_back(&j);
-        moving_at.push_back(static_cast<std::uint32_t>(i));
-      }
+  const std::size_t n = active.size();
+  result.hint.reserve(n);
+  std::vector<Seconds>& fixed_at = ws.fixed_at;  // by position; kUnreachable = moving
+  std::vector<const TasJob*>& moving = ws.moving;
+  std::vector<std::uint32_t>& moving_at = ws.moving_at;  // position of each moving job
+  EdfTimeline& timeline = ws.timeline;
+  fixed_at.clear();
+  moving.clear();
+  moving_at.clear();
+  ws.fixed.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    const TasJob& j = *active[i];
+    const Seconds d = deadline_for_level(j, 0.0, ctx);
+    const bool fixed =
+        d != kUnreachable &&
+        d == deadline_for_level(j, cap_of[i], ctx);
+    fixed_at.push_back(fixed ? d : kUnreachable);
+    if (fixed) {
+      ws.fixed.push_back({d, j.eta, static_cast<std::uint32_t>(i)});
+    } else {
+      moving.push_back(&j);
+      moving_at.push_back(static_cast<std::uint32_t>(i));
     }
-    timeline.assign_active(std::move(fixed_pairs));
   }
+  timeline.assign_active(ws.fixed);
+
+  // Per-call indexes that answer the per-layer lookups without a scan of
+  // every active job (DESIGN.md §5d).  Both are sorted once, and not at
+  // all when the input already is in order.
+  std::vector<unsigned char>& live = ws.live;
+  live.assign(n, 1);
+  std::size_t live_count = n;
+  std::vector<std::pair<Utility, std::uint32_t>>& cap_order = ws.cap_order;
+  cap_order.clear();
+  for (std::size_t i = 0; i < n; ++i) cap_order.emplace_back(cap_of[i], static_cast<std::uint32_t>(i));
+  if (!std::is_sorted(cap_order.begin(), cap_order.end())) {
+    std::sort(cap_order.begin(), cap_order.end());
+  }
+  std::size_t cap_next = 0;  // cap_order before it holds only peeled jobs
+  std::vector<std::pair<JobId, std::uint32_t>>& by_id = ws.by_id;
+  by_id.clear();
+  for (std::size_t i = 0; i < n; ++i) by_id.emplace_back(active[i]->id, static_cast<std::uint32_t>(i));
+  if (!std::is_sorted(by_id.begin(), by_id.end())) std::sort(by_id.begin(), by_id.end());
 
   const int k = config.section_probes;
   // One scratch buffer per probe lane: lane j of a round touches only
   // scratch[j] and level_ok[j], so concurrent probes need no locking.
-  std::vector<ProbeScratch> scratch(static_cast<std::size_t>(k));
-  std::vector<Utility> levels(static_cast<std::size_t>(k));
-  std::vector<unsigned char> level_ok(static_cast<std::size_t>(k));
+  std::vector<ProbeScratch>& scratch = ws.lanes;
+  scratch.resize(static_cast<std::size_t>(k));
+  for (ProbeScratch& lane : scratch) {
+    lane.order.clear();
+    lane.level = 0.0;
+    lane.layer_epoch = static_cast<std::uint64_t>(-1);
+    lane.first_unreachable = kNoIndex;
+    lane.complete = false;
+  }
+  std::vector<Utility>& levels = ws.levels;
+  std::vector<unsigned char>& level_ok = ws.level_ok;
+  levels.resize(static_cast<std::size_t>(k));
+  level_ok.resize(static_cast<std::size_t>(k));
   // Stamps each lane's stash with the layer that produced it, so the
   // bottleneck step never trusts a leftover from an earlier (larger)
   // active set.
   std::uint64_t layer_epoch = 0;
 
-  // Removes active index `index`, keeping cap_of, fixed_at, the moving
-  // list and every lane's deadline order aligned with the shrunken set.
+  // Peels position `index`: clears its live flag and drops a moving job
+  // from the moving list and every lane's deadline order.
   const auto erase_active = [&](std::size_t index) {
-    auto slot = std::lower_bound(moving_at.begin(), moving_at.end(), index);
-    if (fixed_at[index] == kUnreachable) {
-      const auto m = static_cast<std::size_t>(slot - moving_at.begin());
-      for (ProbeScratch& lane : scratch) erase_moving(lane, moving.size(), m);
-      moving.erase(moving.begin() + static_cast<std::ptrdiff_t>(m));
-      slot = moving_at.erase(slot);
-    }
-    for (; slot != moving_at.end(); ++slot) --*slot;
-    active.erase(active.begin() + static_cast<std::ptrdiff_t>(index));
-    cap_of.erase(cap_of.begin() + static_cast<std::ptrdiff_t>(index));
-    fixed_at.erase(fixed_at.begin() + static_cast<std::ptrdiff_t>(index));
+    live[index] = 0;
+    --live_count;
+    if (fixed_at[index] != kUnreachable) return;
+    const auto slot = std::lower_bound(moving_at.begin(), moving_at.end(), index);
+    const auto m = static_cast<std::size_t>(slot - moving_at.begin());
+    for (ProbeScratch& lane : scratch) erase_moving(lane, moving.size(), m);
+    moving.erase(moving.begin() + static_cast<std::ptrdiff_t>(m));
+    moving_at.erase(slot);
   };
 
-  // Calls visit(i, d) for each active index i in order, d its deadline at
-  // the level `lane` last probed (complete lanes only), until visit returns
+  // The scan each index replaced, kept for the DCHECK oracles: calls
+  // visit(i, d) for each live position i in order, d its deadline at the
+  // level `lane` last probed (complete lanes only), until visit returns
   // false.
   const auto for_each_deadline = [&](const ProbeScratch& lane, auto&& visit) {
     std::size_t m = 0;
-    for (std::size_t i = 0; i < active.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (live[i] == 0) continue;
       const Seconds d = fixed_at[i] != kUnreachable ? fixed_at[i] : lane.deadlines[m++];
       if (!visit(i, d)) return;
     }
   };
+
+  // First position holding `id` that `usable` accepts, in input order —
+  // what a scan of the active jobs finds — or kNoIndex.
+  const auto first_with_id = [&](JobId id, auto&& usable) -> std::size_t {
+    std::size_t found = kNoIndex;
+    for (auto it = std::lower_bound(by_id.begin(), by_id.end(),
+                                    std::pair<JobId, std::uint32_t>(id, 0));
+         it != by_id.end() && it->first == id; ++it) {
+      if (usable(it->second)) {
+        found = it->second;
+        break;
+      }
+    }
+    if constexpr (kDcheckEnabled) {
+      std::size_t scanned = kNoIndex;
+      for (std::size_t i = 0; i < n && scanned == kNoIndex; ++i) {
+        if (usable(i) && active[i]->id == id) scanned = i;
+      }
+      ensure(found == scanned, "onion_peel: id index differs from the scan");
+    }
+    return found;
+  };
+  const auto is_live = [&](std::size_t i) { return live[i] != 0; };
 
   const auto feasible = [&](Utility level) {
     ++result.probes;
@@ -585,28 +759,22 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
     t.impossible = job.utility->value(t.target_completion) <= 0.0;
     result.targets.push_back(t);
     result.hint.push_back({job.id, level, t.target_completion});
-    timeline.peel(fixed_at[index], job.eta, d);
+    timeline.peel(static_cast<std::uint32_t>(index), fixed_at[index], job.eta, d);
     erase_active(index);
   };
 
   const PeelHint* warm = config.warm_hint;
   std::size_t hint_cursor = 0;
-  const auto find_active = [&](JobId id) -> const TasJob* {
-    for (const TasJob* j : active) {
-      if (j->id == id) return j;
-    }
-    return nullptr;
-  };
 
   // Layer replay (DESIGN.md §5h): carry an unchanged prefix of the previous
   // pass's layers over verbatim, certify the whole prefix with one
   // feasibility probe, and re-peel only from the first layer whose
-  // membership can change given which etas moved.  Replayed jobs erased
-  // from `active` make the warm-hint cursor skip their hints automatically,
-  // so hints and surviving layers stay aligned.
+  // membership can change given which etas moved.  Replayed jobs are no
+  // longer live, which makes the warm-hint cursor skip their hints
+  // automatically, so hints and surviving layers stay aligned.
   const PeelReplay* replay = config.replay;
   if (replay != nullptr && replay->targets != nullptr &&
-      !replay->targets->empty() && replay->tolerance > 0.0 && !active.empty()) {
+      !replay->targets->empty() && replay->tolerance > 0.0 && n > 0) {
     const auto moved = [&](JobId id) {
       return replay->moved != nullptr &&
              std::binary_search(replay->moved->begin(), replay->moved->end(), id);
@@ -634,105 +802,126 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
       };
       std::vector<Tentative> prefix;
       EdfTimeline tentative;  // the prefix's peeled entries only
-      std::vector<unsigned char> used(active.size(), 0);
+      std::vector<unsigned char> used(n, 0);
       Utility run_level = level_feasible;
-      for (const TasTarget& prev : *replay->targets) {
-        if (moved(prev.id)) break;  // membership can change from here on
-        std::size_t index = active.size();
-        for (std::size_t i = 0; i < active.size(); ++i) {
-          if (used[i] == 0 && active[i]->id == prev.id) {
-            index = i;
-            break;
+      // Builds the prefix.  Each layer's level is re-priced through its
+      // absolute completion time (the coordinate that stays put across
+      // passes — see PeelHintEntry) and the lexicographic climb is clamped
+      // monotone.
+      const auto build_prefix = [&] {
+        for (const TasTarget& prev : *replay->targets) {
+          if (moved(prev.id)) break;  // membership can change from here on
+          const std::size_t index =
+              first_with_id(prev.id, [&](std::size_t i) { return used[i] == 0; });
+          if (index == kNoIndex) continue;  // departed or zero-demand now
+          const TasJob& job = *active[index];
+          Utility level = prev.utility_level;
+          if (prev.target_completion >= 0.0) {
+            const Utility repriced =
+                job.utility->value(std::min(prev.target_completion, horizon));
+            if (repriced > 0.0) level = repriced;
           }
+          level = std::max(level, run_level);
+          const Seconds d = deadline_for_level(job, level, ctx);
+          if (d == kUnreachable) break;  // carried level no longer achievable
+          prefix.push_back({index, level, d});
+          tentative.peel(kPeeledEntry, kUnreachable, job.eta, d);
+          used[index] = 1;
+          run_level = level;
         }
-        if (index == active.size()) continue;  // departed or zero-demand now
-        const TasJob& job = *active[index];
-        // Re-price the layer's level through its absolute completion time
-        // (the coordinate that stays put across passes — see PeelHintEntry)
-        // and clamp the lexicographic climb monotone.
-        Utility level = prev.utility_level;
-        if (prev.target_completion >= 0.0) {
-          const Utility repriced =
-              job.utility->value(std::min(prev.target_completion, horizon));
-          if (repriced > 0.0) level = repriced;
-        }
-        level = std::max(level, run_level);
-        const Seconds d = deadline_for_level(job, level, ctx);
-        if (d == kUnreachable) break;  // carried level no longer achievable
-        prefix.push_back({index, level, d});
-        tentative.peel(kUnreachable, job.eta, d);
-        used[index] = 1;
-        run_level = level;
-      }
-      if (!prefix.empty()) {
-        // One certificate probe for the whole prefix: with the replayed
-        // deadlines reserved, the prefix's final level must still be
-        // feasible for the remaining jobs — the invariant every layer's
-        // search establishes on the cold path, and what keeps audit_tas's
-        // EDF condition intact on replayed results.  Infeasible => abandon
-        // wholesale and peel everything.  The run level may exceed a
-        // remaining job's cap, where its "fixed" deadline no longer holds,
-        // so every remaining job probes as moving.  The lane's order and
-        // deadlines are then over that other set, so the lane is
-        // invalidated on both sides of the probe: neither the order repair
-        // nor a same-level reuse may carry them across.
+      };
+      const auto invalidate = [](ProbeScratch& lane) {
+        lane.order.clear();
+        lane.complete = false;
+      };
+      // One certificate probe for the whole prefix: with the replayed
+      // deadlines reserved, the prefix's final level must still be feasible
+      // for the remaining jobs — the invariant every layer's search
+      // establishes on the cold path, and what keeps audit_tas's EDF
+      // condition intact on replayed results.  The run level may exceed a
+      // remaining job's cap, where its "fixed" deadline no longer holds, so
+      // every remaining job probes as moving.  The lane's order and
+      // deadlines are then over that other set, so the lane is invalidated
+      // on both sides of the probe: neither the order repair nor a
+      // same-level reuse may carry them across.
+      const auto certify = [&] {
+        if (prefix.empty()) return false;
         std::vector<const TasJob*> remaining;
-        for (std::size_t i = 0; i < active.size(); ++i) {
+        for (std::size_t i = 0; i < n; ++i) {
           if (used[i] == 0) remaining.push_back(active[i]);
         }
         ++result.probes;
-        const auto invalidate = [](ProbeScratch& lane) {
-          lane.order.clear();
-          lane.complete = false;
-        };
         invalidate(scratch[0]);
-        const bool certified =
+        const bool ok =
             probe_level(remaining, tentative, ctx, run_level, layer_epoch, scratch[0]);
         invalidate(scratch[0]);
-        if (certified) {
-          for (const Tentative& p : prefix) {
-            const TasJob& job = *active[p.index];
-            TasTarget t;
-            t.id = job.id;
-            t.mapping_deadline = p.deadline;
-            t.target_completion =
-                config.compensate_runtime
-                    ? std::min(p.deadline + job.avg_task_runtime, horizon)
-                    : p.deadline;
-            t.utility_level = p.level;
-            t.layer = layer;
-            t.impossible = job.utility->value(t.target_completion) <= 0.0;
-            result.targets.push_back(t);
-            result.hint.push_back({job.id, p.level, t.target_completion});
-            timeline.peel(fixed_at[p.index], job.eta, p.deadline);
-            ++layer;
-          }
-          level_feasible = run_level;
-          result.replayed_layers = static_cast<long>(prefix.size());
-          std::vector<std::size_t> erase_order;
-          erase_order.reserve(prefix.size());
-          for (const Tentative& p : prefix) erase_order.push_back(p.index);
-          std::sort(erase_order.begin(), erase_order.end());
-          for (std::size_t i = erase_order.size(); i > 0; --i) {
-            erase_active(erase_order[i - 1]);
-          }
+        return ok;
+      };
+      // A failed certificate abandons the replay wholesale and the pass
+      // peels everything.
+      build_prefix();
+      if (certify()) {
+        for (const Tentative& p : prefix) {
+          const TasJob& job = *active[p.index];
+          TasTarget t;
+          t.id = job.id;
+          t.mapping_deadline = p.deadline;
+          t.target_completion =
+              config.compensate_runtime
+                  ? std::min(p.deadline + job.avg_task_runtime, horizon)
+                  : p.deadline;
+          t.utility_level = p.level;
+          t.layer = layer;
+          t.impossible = job.utility->value(t.target_completion) <= 0.0;
+          result.targets.push_back(t);
+          result.hint.push_back({job.id, p.level, t.target_completion});
+          timeline.peel(static_cast<std::uint32_t>(p.index), fixed_at[p.index], job.eta,
+                        p.deadline);
+          live[p.index] = 0;
+          ++layer;
         }
+        level_feasible = run_level;
+        result.replayed_layers = static_cast<long>(prefix.size());
+        live_count -= prefix.size();
+        // Drop the replayed moving jobs in one pass.  Every lane is over
+        // another set now (lane 0 was invalidated, the others are unused),
+        // so each is cleared, as a peel would have cleared it.
+        std::size_t w = 0;
+        for (std::size_t m = 0; m < moving.size(); ++m) {
+          if (live[moving_at[m]] == 0) continue;
+          moving[w] = moving[m];
+          moving_at[w++] = moving_at[m];
+        }
+        moving.resize(w);
+        moving_at.resize(w);
+        for (ProbeScratch& lane : scratch) invalidate(lane);
       }
     }
   }
 
-  while (!active.empty()) {
+  while (live_count > 0) {
     ++layer_epoch;
     // Upper bound for this layer: no job can exceed the utility of
     // completing immediately, and the layer max-min cannot exceed the
-    // smallest such maximum among remaining jobs.
-    Utility level_cap = std::numeric_limits<Utility>::infinity();
-    std::size_t cap_index = 0;
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      if (cap_of[i] < level_cap) {
-        level_cap = cap_of[i];
-        cap_index = i;
+    // smallest such maximum among remaining jobs — the first live job in
+    // cap order, which is the first in input order among equal caps.
+    while (live[cap_order[cap_next].second] == 0) ++cap_next;
+    const std::size_t cap_index = cap_order[cap_next].second;
+    const Utility level_cap = cap_of[cap_index];
+    if constexpr (kDcheckEnabled) {
+      Utility scanned = std::numeric_limits<Utility>::infinity();
+      std::size_t scanned_index = kNoIndex;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (live[i] == 0) continue;
+        if (scanned_index == kNoIndex) scanned_index = i;
+        if (cap_of[i] < scanned) {
+          scanned = cap_of[i];
+          scanned_index = i;
+        }
       }
+      ensure(std::bit_cast<std::uint64_t>(scanned) == std::bit_cast<std::uint64_t>(level_cap) &&
+                 scanned_index == cap_index,
+             "onion_peel: cap order differs from the scan");
     }
 
     Utility lo = level_feasible;
@@ -750,34 +939,35 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
     // past its inverse of 1e-6), deforming every later layer's constraint
     // set.  Replayed with cold's exact arithmetic so a floored probe reads
     // the EDF structure at bit-for-bit the cold terminal level.
+    // Only a non-degenerate layer with a hint searches, so only that layer
+    // needs the floor.
     Utility level_floor = level_cap;
-    if (warm != nullptr) {
-      while (level_floor - 0.0 >
-                 config.tolerance * std::max(level_floor, 1e-3) &&
-             level_floor > 1e-12) {
-        level_floor = 0.0 + level_floor * static_cast<double>(1) /
-                                static_cast<double>(k + 1);
-      }
-    }
 
     // Warm start: pick this layer's hint.  The stored completion time is
     // re-priced through the peeled job's utility curve (absolute completion
     // times barely move between passes, so this tracks the level drift the
     // raw stored level cannot).  Hints of departed jobs are skipped so the
-    // rest re-align with the surviving layers.
+    // rest re-align with the surviving layers; a degenerate layer only
+    // keeps that alignment.
     Utility hint_level = -1.0;
     if (warm != nullptr) {
-      const TasJob* hint_job = nullptr;
+      std::size_t hint_job = kNoIndex;
       while (hint_cursor < warm->size() &&
-             (hint_job = find_active((*warm)[hint_cursor].id)) == nullptr) {
+             (hint_job = first_with_id((*warm)[hint_cursor].id, is_live)) == kNoIndex) {
         ++hint_cursor;
       }
-      if (hint_cursor < warm->size()) {
+      if (hint_cursor < warm->size() && !degenerate_cap) {
+        while (level_floor - 0.0 >
+                   config.tolerance * std::max(level_floor, 1e-3) &&
+               level_floor > 1e-12) {
+          level_floor = 0.0 + level_floor * static_cast<double>(1) /
+                                  static_cast<double>(k + 1);
+        }
         const PeelHintEntry& entry = (*warm)[hint_cursor];
         Utility h = entry.level;
         if (entry.completion >= 0.0) {
           const Utility repriced =
-              hint_job->utility->value(std::min(entry.completion, horizon));
+              active[hint_job]->utility->value(std::min(entry.completion, horizon));
           if (repriced > 0.0) h = repriced;
         }
         // A hint outside the bracket still carries information — the level
@@ -860,18 +1050,52 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
           last_side = -1;
         }
       };
-      // Index of the active job whose deadline is the current binding
-      // constraint (kNoIndex when the binding deadline belongs to a peeled
-      // job, whose deadline no probe can move).
+      // Position of the first live job whose deadline is the current
+      // binding constraint (kNoIndex when the binding deadline belongs to a
+      // peeled job, whose deadline no probe can move).
       const auto binding_job = [&](Seconds binding) -> std::size_t {
-        std::size_t found = kNoIndex;
-        if (scratch[0].complete) {
+        if (!scratch[0].complete) return kNoIndex;
+        const std::size_t found = first_job_at(binding, scratch[0], moving_at, timeline);
+        if constexpr (kDcheckEnabled) {
+          std::size_t scanned = kNoIndex;
           for_each_deadline(scratch[0], [&](std::size_t i, Seconds d) {
-            if (d == binding) found = i;
-            return found == kNoIndex;
+            if (d == binding) scanned = i;
+            return scanned == kNoIndex;
           });
+          ensure(found == scanned, "onion_peel: binding job differs from the scan");
         }
         return found;
+      };
+      // Calls visit(job) for every live job: the moving ones, then the
+      // fixed ones in timeline order.
+      const auto for_each_live_job = [&](auto&& visit) {
+        for (const TasJob* j : moving) visit(*j);
+        for (std::size_t q = 0; q < timeline.entries().size(); ++q) {
+          if (timeline.owner(q) != kPeeledEntry) visit(*active[timeline.owner(q)]);
+        }
+      };
+      // Nearest breakpoint above (up) or below the current level: a level
+      // at which some live job's deadline crosses `t`.  The minimum or
+      // maximum of one candidate set does not depend on the visiting order.
+      const auto nearest_crossing = [&](Seconds t, Utility level, bool up) {
+        double c = up ? std::numeric_limits<double>::infinity()
+                      : -std::numeric_limits<double>::infinity();
+        const auto consider = [&](const TasJob& j) {
+          const double x = crossing_level(j, t);
+          if (up ? (x > level && x < c) : (x < level && x > c)) c = x;
+        };
+        for_each_live_job(consider);
+        if constexpr (kDcheckEnabled) {
+          const double indexed = c;
+          c = up ? std::numeric_limits<double>::infinity()
+                 : -std::numeric_limits<double>::infinity();
+          for (std::size_t i = 0; i < n; ++i) {
+            if (live[i] != 0) consider(*active[i]);
+          }
+          ensure(std::bit_cast<std::uint64_t>(indexed) == std::bit_cast<std::uint64_t>(c),
+                 "onion_peel: breakpoint differs from the scan");
+        }
+        return c;
       };
       if (hint_level >= level_cap * (1.0 - 2.0 * config.tolerance)) {
         // A hint at or next to the cap: open with the cap probe, exactly as
@@ -931,11 +1155,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
           // U_j(d_b + comp_j) — so jump to the nearest breakpoint and
           // certify it with a probe half a tolerance step on each side.
           if (cur_feasible) {
-            double c = std::numeric_limits<double>::infinity();
-            for (const TasJob* j : active) {
-              const double x = crossing_level(*j, cur_binding);
-              if (x > cur_level && x < c) c = x;
-            }
+            const double c = nearest_crossing(cur_binding, cur_level, true);
             if (std::isfinite(c)) {
               next = c * (1.0 + 0.5 * config.tolerance);
               // Breakpoint at/above a probed-infeasible hi: certify from
@@ -943,11 +1163,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
               if (!hi_is_cap && !(next < hi)) next = c * (1.0 - 0.5 * config.tolerance);
             }
           } else {
-            double c = -std::numeric_limits<double>::infinity();
-            for (const TasJob* j : active) {
-              const double x = crossing_level(*j, cur_binding);
-              if (x < cur_level && x > c) c = x;
-            }
+            const double c = nearest_crossing(cur_binding, cur_level, false);
             if (std::isfinite(c)) next = c * (1.0 - 0.5 * config.tolerance);
           }
         }
@@ -1167,15 +1383,39 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
       } else {
         const Seconds violation = first_edf_violation(stash->pairs, timeline, ctx);
         const Seconds violated_at = violation == kNoViolation ? horizon : violation;
+        const Seconds limit = violated_at + 1e-12;
+        // The latest live deadline within the limit (above -1): the last
+        // moving pair within it, and the last active timeline entry within
+        // it unless the moving one is already later.
         Seconds best = -1.0;
-        for_each_deadline(*stash, [&](std::size_t i, Seconds d) {
-          if (d <= violated_at + 1e-12 && d > best) {
-            best = d;
-            bottleneck = i;
-            found = true;
+        const DeadlineDemand& pairs = stash->pairs;
+        const auto last = std::upper_bound(pairs.begin(), pairs.end(), limit,
+                                           [](Seconds x, const auto& p) { return x < p.first; });
+        if (last != pairs.begin() && std::prev(last)->first > best) best = std::prev(last)->first;
+        for (std::size_t q = timeline.upper_bound(limit);
+             q > 0 && timeline.entries()[q - 1].deadline > best; --q) {
+          if (timeline.owner(q - 1) != kPeeledEntry) {
+            best = timeline.entries()[q - 1].deadline;
+            break;
           }
-          return true;
-        });
+        }
+        if (best > -1.0) {
+          bottleneck = first_job_at(best, *stash, moving_at, timeline);
+          found = true;
+        }
+        if constexpr (kDcheckEnabled) {
+          std::size_t scanned = kNoIndex;
+          Seconds scanned_best = -1.0;
+          for_each_deadline(*stash, [&](std::size_t i, Seconds d) {
+            if (d <= limit && d > scanned_best) {
+              scanned_best = d;
+              scanned = i;
+            }
+            return true;
+          });
+          ensure(scanned == (found ? bottleneck : kNoIndex),
+                 "onion_peel: bottleneck differs from the scan");
+        }
       }
       if (!found) bottleneck = cap_index;  // numerical fallback
     }
