@@ -807,8 +807,18 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
       // Builds the prefix.  Each layer's level is re-priced through its
       // absolute completion time (the coordinate that stays put across
       // passes — see PeelHintEntry) and the lexicographic climb is clamped
-      // monotone.
-      const auto build_prefix = [&] {
+      // monotone.  A re-priced level more than one search tolerance above
+      // the stored one read a flat stretch of the curve, not drift: a
+      // zero-level layer's completion at the horizon, where a sigmoid's tail
+      // is still positive, or a step job's at its budget, its full weight.
+      // With `keep_flat` such a layer keeps its stored level.  Returns
+      // whether some layer took a level from a flat stretch.
+      const auto build_prefix = [&](bool keep_flat) {
+        prefix.clear();
+        tentative = EdfTimeline();
+        std::fill(used.begin(), used.end(), 0);
+        run_level = level_feasible;
+        bool lifted = false;
         for (const TasTarget& prev : *replay->targets) {
           if (moved(prev.id)) break;  // membership can change from here on
           const std::size_t index =
@@ -819,7 +829,10 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
           if (prev.target_completion >= 0.0) {
             const Utility repriced =
                 job.utility->value(std::min(prev.target_completion, horizon));
-            if (repriced > 0.0) level = repriced;
+            const bool flat =
+                repriced > 0.0 && repriced > prev.utility_level * (1.0 + config.tolerance);
+            if (repriced > 0.0 && !(keep_flat && flat)) level = repriced;
+            lifted = lifted || flat;
           }
           level = std::max(level, run_level);
           const Seconds d = deadline_for_level(job, level, ctx);
@@ -829,6 +842,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
           used[index] = 1;
           run_level = level;
         }
+        return lifted;
       };
       const auto invalidate = [](ProbeScratch& lane) {
         lane.order.clear();
@@ -857,10 +871,16 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
         invalidate(scratch[0]);
         return ok;
       };
-      // A failed certificate abandons the replay wholesale and the pass
-      // peels everything.
-      build_prefix();
-      if (certify()) {
+      // A prefix lifted off a flat stretch that fails its certificate is
+      // retried once at the stored levels; a failed certificate otherwise
+      // abandons the replay wholesale and the pass peels everything.
+      const bool lifted = build_prefix(false);
+      bool certified = certify();
+      if (!certified && lifted) {
+        build_prefix(true);
+        certified = certify();
+      }
+      if (certified) {
         for (const Tentative& p : prefix) {
           const TasJob& job = *active[p.index];
           TasTarget t;

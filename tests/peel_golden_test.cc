@@ -52,6 +52,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/check/invariant_auditor.h"
 #include "src/common/error.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
@@ -556,9 +557,12 @@ const EdgePeelCase kEdgePeelCases[] = {
     {"tight-half-constant-60-k4", Shape::kHalfConstant, 60, 24, 4, 69, kTightHorizon,
      0x91931227658e1c5a, 0xb989489571681974,
      0x98bd06bad1a089ac, 0xd29c6b1b82f33a23},
+    // Its replayed prefix holds a zero-level layer that re-prices off the
+    // horizon; the lifted prefix fails its certificate and the retry at the
+    // stored levels certifies (replay digest refrozen with that retry).
     {"tight-crossing-60-k1", Shape::kCrossingSigmoids, 60, 16, 1, 70, kTightHorizon,
      0x39ab073173c0b292, 0xd5da94280b659f18,
-     0xcc72ea5f47dae399, 0x939171d753690980},
+     0xcc72ea5f47dae399, 0xa98725e924fea5fc},
     // The first EDF entry of most probes already violates.
     {"front-loaded-80-k4", Shape::kFrontLoaded, 80, 16, 4, 72, 0.0,
      0x460b8d6593d684b3, 0xad9724fcb3a7fe4b,
@@ -750,6 +754,74 @@ TEST(PeelGolden, ReplayPrefixThenDegenerateLayers) {
     } else {
       EXPECT_EQ(d.get(), serial.get()) << "pooled";
     }
+  }
+}
+
+TEST(PeelGolden, ReplayKeepsZeroAndStepLayerLevels) {
+  // ReplayPrefixThenDegenerateLayers's set with its full demand and its
+  // step curves.  The prefix holds layers peeled at level 0 and step jobs
+  // peeled below their weight.  Re-pricing a zero-level layer at the horizon
+  // gives a sigmoid a tiny positive level, and a step job's completion at
+  // its budget re-prices to its full weight; either lifts the replayed climb
+  // above the first peel's levels, and the certificate then failed.
+  Rng rng(74);
+  const Seconds t0 = rng.uniform(0.0, 100.0);
+  Instance inst = make_instance(Shape::kHalfConstant, 200, t0, 0.0, rng);
+  for (std::size_t i = 0; i < inst.jobs.size(); i += 9) {
+    inst.utilities[i] = std::make_unique<ConstantUtility>(1.0);
+    inst.jobs[i].utility = inst.utilities[i].get();
+  }
+  const auto job_of = [&](JobId id) -> const TasJob& {
+    return inst.jobs[static_cast<std::size_t>((id - 1) / 3)];
+  };
+  const auto shared_constant = [&](JobId id) {
+    const auto* u = dynamic_cast<const ConstantUtility*>(job_of(id).utility);
+    return u != nullptr && u->priority() == 1.0 && job_of(id).eta > 0.0;
+  };
+  OnionPeelingConfig config;
+  config.horizon = t0 + 6000.0;
+  const TasResult first = onion_peel(inst.jobs, 48, t0, config);
+  std::size_t stop = 0;
+  for (std::size_t i = 1; i < first.targets.size() && stop == 0; ++i) {
+    if (shared_constant(first.targets[i - 1].id) && shared_constant(first.targets[i].id)) {
+      stop = i;
+    }
+  }
+  ASSERT_GT(stop, 0u);
+  int zero_layers = 0;
+  int step_layers = 0;
+  for (std::size_t i = 0; i < stop; ++i) {
+    const TasTarget& t = first.targets[i];
+    if (job_of(t.id).eta <= 0.0) continue;
+    zero_layers += t.utility_level == 0.0 ? 1 : 0;
+    const auto* step = dynamic_cast<const StepUtility*>(job_of(t.id).utility);
+    step_layers += step != nullptr && t.utility_level < step->priority() ? 1 : 0;
+  }
+  ASSERT_GT(zero_layers, 0);
+  ASSERT_GT(step_layers, 0);
+
+  std::vector<TasJob> jobs = inst.jobs;
+  const std::vector<JobId> moved = {first.targets[stop].id};
+  for (TasJob& job : jobs) job.eta *= job.id == moved[0] ? 0.6 : 0.99;
+  PeelReplay replay;
+  replay.targets = &first.targets;
+  replay.moved = &moved;
+  replay.tolerance = 0.05;
+  for (const bool hinted : {false, true}) {
+    OnionPeelingConfig replayed = config;
+    replayed.replay = &replay;
+    if (hinted) replayed.warm_hint = &first.hint;
+    const TasResult r = onion_peel(jobs, 48, t0, replayed);
+    EXPECT_GT(r.replayed_layers, 0) << "hinted " << hinted;
+    for (std::size_t i = 0; i < static_cast<std::size_t>(r.replayed_layers); ++i) {
+      // A zero-level layer stays at 0 and no replayed layer climbs more
+      // than one search tolerance above the first peel's level.
+      const Utility level = first.hint[i].level;
+      EXPECT_EQ(r.hint[i].id, first.hint[i].id) << "layer " << i;
+      EXPECT_LE(r.hint[i].level, level * (1.0 + config.tolerance))
+          << "hinted " << hinted << " layer " << i;
+    }
+    EXPECT_TRUE(audit_tas(r, jobs, 48, t0).ok()) << "hinted " << hinted;
   }
 }
 
@@ -1047,8 +1119,11 @@ const PlannerCase kPlannerCases[] = {
      0x91545ff9873e2b88},
     {"warm-30", 30, 40, 12, 101, true, 0.0, false, true, true,
      0x3d1a43c4b41de776},
+    // In three of its passes a layer of the replayed prefix re-prices off a
+    // flat stretch and the lifted prefix fails its certificate; the retry at
+    // the stored levels certifies them (refrozen with that retry).
     {"replay-60", 60, 40, 24, 102, true, 0.08, false, true, true,
-     0x82eac3f42f0b3193},
+     0x2c0112a04a112a6d},
     {"warm-200-adaptive", 200, 12, 48, 103, true, 0.0, true, true, true,
      0x53a8811610598d5a},
     {"cold-200-nocache", 200, 6, 48, 104, false, 0.0, true, false, true,
