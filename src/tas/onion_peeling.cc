@@ -99,11 +99,8 @@ class EdfTimeline {
   /// of an erase and an insert over the whole tail.
   void peel(std::uint32_t job, Seconds fixed_deadline, ContainerSeconds eta, Seconds deadline) {
     const Entry peeled{deadline, eta, 0.0, eta};
-    const auto to = static_cast<std::size_t>(
-        std::upper_bound(entries_.begin(), entries_.end(), deadline,
-                         [](Seconds d, const Entry& e) { return d < e.deadline; }) -
-        entries_.begin());
     if (fixed_deadline == kUnreachable) {
+      const std::size_t to = upper_bound(deadline);
       entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(to), peeled);
       owners_.insert(owners_.begin() + static_cast<std::ptrdiff_t>(to), kPeeledEntry);
       return;
@@ -115,6 +112,13 @@ class EdfTimeline {
     }
     ensure(at < entries_.size() && owners_[at] == job,
            "EdfTimeline::peel: no active entry to peel");
+    // upper_bound(deadline); at its own deadline, the end of the entry's run.
+    std::size_t to = at + 1;
+    if (deadline == fixed_deadline) {
+      while (to < entries_.size() && entries_[to].deadline == deadline) ++to;
+    } else {
+      to = upper_bound(deadline);
+    }
     // Erasing `at` then inserting at upper_bound(deadline) of the shorter
     // vector, done as one shift of the entries in between.
     const auto e = entries_.begin();
