@@ -554,6 +554,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
   require(capacity > 0, "onion_peel: capacity must be positive");
   require(config.tolerance > 0.0, "onion_peel: tolerance must be positive");
   require(config.section_probes >= 1, "onion_peel: section_probes must be >= 1");
+  require(jobs.size() < kPeeledEntry, "onion_peel: job positions must fit 32 bits");
 
   thread_local PeelWorkspace ws;
   TasResult result;
@@ -737,7 +738,6 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
     }
     return found;
   };
-  const auto is_live = [&](std::size_t i) { return live[i] != 0; };
 
   const auto feasible = [&](Utility level) {
     ++result.probes;
@@ -977,7 +977,9 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
     if (warm != nullptr) {
       std::size_t hint_job = kNoIndex;
       while (hint_cursor < warm->size() &&
-             (hint_job = first_with_id((*warm)[hint_cursor].id, is_live)) == kNoIndex) {
+             (hint_job = first_with_id((*warm)[hint_cursor].id,
+                                       [&](std::size_t i) { return live[i] != 0; })) ==
+                 kNoIndex) {
         ++hint_cursor;
       }
       if (hint_cursor < warm->size() && !degenerate_cap) {

@@ -99,7 +99,11 @@ struct TasTarget {
 /// re-prices its level through the stored absolute completion time, and
 /// one feasibility probe certifies the whole replayed prefix against the
 /// current demand before it is committed (infeasible => the replay is
-/// abandoned and the pass peels cold/warm from scratch).  Replay stops at
+/// abandoned and the pass peels cold/warm from scratch).  Re-pricing on a
+/// flat stretch of a curve (a zero-level layer at the horizon, a step job
+/// at its budget) would lift the level by more than the search tolerance;
+/// a prefix with such a layer that fails its certificate is rebuilt once
+/// with those layers at their stored levels and certified again.  Replay stops at
 /// the first layer whose membership can change: the first layer whose job
 /// is in `moved` (its eta drifted beyond tolerance), and it never starts
 /// when a job active now was absent from the previous pass (an arrival
@@ -173,8 +177,8 @@ struct TasResult {
   /// nothing to probe.
   long warm_layers = 0;
   /// Layers replayed verbatim from the previous pass (PeelReplay) instead
-  /// of being re-peeled — zero probes each beyond the one certificate
-  /// probe for the whole prefix.
+  /// of being re-peeled — zero probes each beyond the certificate probe
+  /// for the whole prefix (two when the flat-stretch retry runs).
   long replayed_layers = 0;
 };
 
