@@ -833,8 +833,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
           if (prev.target_completion >= 0.0) {
             const Utility repriced =
                 job.utility->value(std::min(prev.target_completion, horizon));
-            const bool flat =
-                repriced > 0.0 && repriced > prev.utility_level * (1.0 + config.tolerance);
+            const bool flat = repriced > prev.utility_level * (1.0 + config.tolerance);
             if (repriced > 0.0 && !(keep_flat && flat)) level = repriced;
             lifted = lifted || flat;
           }
