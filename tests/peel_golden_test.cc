@@ -364,6 +364,15 @@ std::pair<ContainerSeconds, Seconds> demand_of(const std::vector<TasJob>& jobs) 
   return {total, min_runtime};
 }
 
+/// Scales every eta so the demand exactly fills the supply from `now` to
+/// the latest deadline, horizon - min R_i.
+void fill_to_horizon(std::vector<TasJob>& jobs, ContainerCount capacity, Seconds now,
+                     Seconds horizon) {
+  const auto [total, min_runtime] = demand_of(jobs);
+  const double scale = static_cast<double>(capacity) * (horizon - min_runtime - now) / total;
+  for (TasJob& job : jobs) job.eta *= scale;
+}
+
 /// What one peel scenario varies.
 struct PeelSetup {
   const char* name;
@@ -378,6 +387,48 @@ struct PeelSetup {
   /// Pool for the k-section rounds (nullptr = serial).
   ThreadPool* pool;
 };
+
+/// Digests `first` (the cold peel at t0) and the peels of the drifted
+/// `jobs` at t1: cold, warm from `first`'s hint, and replaying `first`'s
+/// layers with `moved` (ascending ids) as the moved jobs.
+PeelDigests digest_legs(const char* name, const TasResult& first,
+                        const std::vector<TasJob>& jobs, ContainerCount capacity, Seconds t1,
+                        const OnionPeelingConfig& config, const std::vector<JobId>& moved) {
+  PeelDigests out;
+  Digest d0;
+  add_tas(d0, first);
+  out.cold = d0.get();
+
+  const TasResult drifted = onion_peel(jobs, capacity, t1, config);
+  Digest d1;
+  add_tas(d1, drifted);
+  out.drifted = d1.get();
+
+  OnionPeelingConfig warm = config;
+  warm.warm_hint = &first.hint;
+  const TasResult warmed = onion_peel(jobs, capacity, t1, warm);
+  Digest d2;
+  add_tas(d2, warmed);
+  out.warm = d2.get();
+  // Warm start is an identity on targets (DESIGN.md §5d): only the probe
+  // counters may differ from the cold peel of the same instance.
+  Digest cold_targets;
+  Digest warm_targets;
+  add_targets(cold_targets, drifted);
+  add_targets(warm_targets, warmed);
+  EXPECT_EQ(cold_targets.get(), warm_targets.get()) << name;
+
+  PeelReplay replay;
+  replay.targets = &first.targets;
+  replay.moved = &moved;
+  replay.tolerance = 0.05;
+  OnionPeelingConfig replayed = warm;
+  replayed.replay = &replay;
+  Digest d3;
+  add_tas(d3, onion_peel(jobs, capacity, t1, replayed));
+  out.replay = d3.get();
+  return out;
+}
 
 PeelDigests run_peel(const PeelSetup& c) {
   Rng rng(c.seed);
@@ -394,11 +445,7 @@ PeelDigests run_peel(const PeelSetup& c) {
   config.section_probes = c.section_probes;
   config.horizon = horizon;
   config.pool = c.pool;
-  PeelDigests out;
   const TasResult first = onion_peel(inst.jobs, c.capacity, t0, config);
-  Digest d0;
-  add_tas(d0, first);
-  out.cold = d0.get();
 
   // One scheduling event later: time advances, demand drains with jitter,
   // and a handful of jobs move well beyond the replay tolerance.
@@ -413,43 +460,11 @@ PeelDigests run_peel(const PeelSetup& c) {
       job.eta *= rng.uniform(0.98, 1.0);
     }
   }
-  if (tight) {
-    // Scale the drifted demand back to exactly the supply left at t1.
-    const auto [total, min_runtime] = demand_of(inst.jobs);
-    const double scale =
-        static_cast<double>(c.capacity) * (horizon - min_runtime - t1) / total;
-    for (TasJob& job : inst.jobs) job.eta *= scale;
-  }
+  // Scale the drifted demand back to exactly the supply left at t1.
+  if (tight) fill_to_horizon(inst.jobs, c.capacity, t1, horizon);
 
-  const TasResult drifted = onion_peel(inst.jobs, c.capacity, t1, config);
-  Digest d1;
-  add_tas(d1, drifted);
-  out.drifted = d1.get();
-
-  OnionPeelingConfig warm = config;
-  warm.warm_hint = &first.hint;
-  const TasResult warmed = onion_peel(inst.jobs, c.capacity, t1, warm);
-  Digest d2;
-  add_tas(d2, warmed);
-  out.warm = d2.get();
-  // Warm start is an identity on targets (DESIGN.md §5d): only the probe
-  // counters may differ from the cold peel of the same instance.
-  Digest cold_targets;
-  Digest warm_targets;
-  add_targets(cold_targets, drifted);
-  add_targets(warm_targets, warmed);
-  EXPECT_EQ(cold_targets.get(), warm_targets.get()) << c.name;
-
-  PeelReplay replay;
-  replay.targets = &first.targets;
-  replay.moved = &moved;  // ids ascend with job index, so already sorted
-  replay.tolerance = 0.05;
-  OnionPeelingConfig replayed = warm;
-  replayed.replay = &replay;
-  Digest d3;
-  add_tas(d3, onion_peel(inst.jobs, c.capacity, t1, replayed));
-  out.replay = d3.get();
-  return out;
+  // ids ascend with job index, so `moved` is already sorted
+  return digest_legs(c.name, first, inst.jobs, c.capacity, t1, config, moved);
 }
 
 PeelDigests run_peel_case(const PeelCase& c) {
@@ -850,13 +865,6 @@ struct TieBreakCase {
   std::uint64_t replay;
 };
 
-void fill_to_horizon(std::vector<TasJob>& jobs, ContainerCount capacity, Seconds now,
-                     Seconds horizon) {
-  const auto [total, min_runtime] = demand_of(jobs);
-  const double scale = static_cast<double>(capacity) * (horizon - min_runtime - now) / total;
-  for (TasJob& job : jobs) job.eta *= scale;
-}
-
 PeelDigests run_tie_break(const TieBreakCase& c, ThreadPool* pool) {
   Rng rng(c.seed);
   const Seconds t0 = rng.uniform(0.0, 100.0);
@@ -868,11 +876,7 @@ PeelDigests run_tie_break(const TieBreakCase& c, ThreadPool* pool) {
   config.section_probes = c.section_probes;
   config.horizon = horizon;
   config.pool = pool;
-  PeelDigests out;
   const TasResult first = onion_peel(inst.jobs, c.capacity, t0, config);
-  Digest d0;
-  add_tas(d0, first);
-  out.cold = d0.get();
 
   // One event later: about one job in eight has departed and one in eight
   // has drained to zero demand, while the first peel's hint and layers
@@ -896,33 +900,8 @@ PeelDigests run_tie_break(const TieBreakCase& c, ThreadPool* pool) {
   }
   if (c.fill_horizon) fill_to_horizon(jobs, c.capacity, t1, horizon);
 
-  const TasResult drifted = onion_peel(jobs, c.capacity, t1, config);
-  Digest d1;
-  add_tas(d1, drifted);
-  out.drifted = d1.get();
-
-  OnionPeelingConfig warm = config;
-  warm.warm_hint = &first.hint;
-  const TasResult warmed = onion_peel(jobs, c.capacity, t1, warm);
-  Digest d2;
-  add_tas(d2, warmed);
-  out.warm = d2.get();
-  Digest cold_targets;
-  Digest warm_targets;
-  add_targets(cold_targets, drifted);
-  add_targets(warm_targets, warmed);
-  EXPECT_EQ(cold_targets.get(), warm_targets.get()) << c.name;
-
-  PeelReplay replay;
-  replay.targets = &first.targets;
-  replay.moved = &moved;  // ids ascend with job index, so already sorted
-  replay.tolerance = 0.05;
-  OnionPeelingConfig replayed = warm;
-  replayed.replay = &replay;
-  Digest d3;
-  add_tas(d3, onion_peel(jobs, c.capacity, t1, replayed));
-  out.replay = d3.get();
-  return out;
+  // ids ascend with job index, so `moved` is already sorted
+  return digest_legs(c.name, first, jobs, c.capacity, t1, config, moved);
 }
 
 const TieBreakCase kTieBreakCases[] = {
